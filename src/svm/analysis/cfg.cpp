@@ -7,32 +7,7 @@
 namespace fsim::svm::analysis {
 
 FlowKind flow_of(std::uint32_t word) noexcept {
-  const Instr in = decode(word);
-  if (!is_valid_opcode(static_cast<std::uint8_t>(in.op)))
-    return FlowKind::kIllegal;
-  switch (in.op) {
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-      return FlowKind::kBranch;
-    case Op::kJmp:
-      return FlowKind::kJump;
-    case Op::kJmpr:
-      return FlowKind::kIndirectJump;
-    case Op::kCall:
-      return FlowKind::kCall;
-    case Op::kCallr:
-      return FlowKind::kIndirectCall;
-    case Op::kRet:
-      return FlowKind::kRet;
-    case Op::kSys:
-      return FlowKind::kSys;
-    default:
-      return FlowKind::kFallthrough;
-  }
+  return op_info(decode(word).op).flow;
 }
 
 namespace {

@@ -25,18 +25,8 @@
 
 namespace fsim::svm::analysis {
 
-/// Control-transfer class of an instruction.
-enum class FlowKind : std::uint8_t {
-  kFallthrough,   // ordinary instruction: pc+4
-  kBranch,        // conditional: pc+4 or relative target
-  kJump,          // unconditional relative target
-  kIndirectJump,  // jmpr: register target
-  kCall,          // relative target, pushes return address
-  kIndirectCall,  // callr: register target, pushes return address
-  kRet,           // pops return address
-  kSys,           // pc+4, but a blocked syscall re-fetches its own pc
-  kIllegal,       // undefined opcode: traps
-};
+/// Control-transfer class of an instruction (the ops.def flow column).
+using svm::FlowKind;
 
 /// Flow class of one encoded instruction word.
 FlowKind flow_of(std::uint32_t word) noexcept;

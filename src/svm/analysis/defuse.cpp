@@ -73,175 +73,34 @@ bool sys_writes_result(std::uint16_t number) noexcept {
 
 RegEffect instr_effect(std::uint32_t word, DefUseModel model) noexcept {
   const Instr in = decode(word);
+  const OpInfo& op = op_info(in.op);
+  // Resolve the row's register roles against this instruction's fields.
+  auto regs = [&](std::uint8_t roles) {
+    std::uint16_t m = 0;
+    if (roles & opdef::A) m |= reg_bit(in.a);
+    if (roles & opdef::B) m |= reg_bit(in.b);
+    if (roles & opdef::C) m |= reg_bit(in.c());
+    if (roles & opdef::SP) m |= reg_bit(kSp);
+    if (roles & opdef::FP) m |= reg_bit(kFp);
+    if (roles & opdef::ARGS)
+      for (int r = 1; r <= sys_arg_count(in.imm); ++r)
+        m |= reg_bit(static_cast<unsigned>(r));
+    // kSound: a blocked or failing syscall may leave r1 untouched, so a
+    // def here would be a guaranteed-kill claim we cannot make.
+    if ((roles & opdef::RES) && model == DefUseModel::kLint &&
+        sys_writes_result(in.imm))
+      m |= reg_bit(1);
+    return m;
+  };
   RegEffect e;
-  const std::uint16_t ra = reg_bit(in.a);
-  const std::uint16_t rb = reg_bit(in.b);
-  const std::uint16_t rc = reg_bit(in.c());
-  const std::uint16_t sp = reg_bit(kSp);
-  const std::uint16_t fp = reg_bit(kFp);
-  if (!is_valid_opcode(static_cast<std::uint8_t>(in.op))) return e;
-
-  switch (in.op) {
-    case Op::kNop:
-      break;
-    case Op::kMov:
-      e.use = rb;
-      e.def = ra;
-      break;
-    case Op::kLdi:
-    case Op::kLui:
-      e.def = ra;
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDivs:
-    case Op::kRems:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kSra:
-    case Op::kSlt:
-    case Op::kSltu:
-      e.use = rb | rc;
-      e.def = ra;
-      break;
-    case Op::kAddi:
-    case Op::kMuli:
-    case Op::kAndi:
-    case Op::kOri:
-    case Op::kXori:
-    case Op::kShli:
-    case Op::kShri:
-    case Op::kSrai:
-      e.use = rb;
-      e.def = ra;
-      break;
-    case Op::kLdw:
-    case Op::kLdb:
-      e.use = rb;
-      e.def = ra;
-      break;
-    case Op::kStw:
-    case Op::kStb:
-      e.use = ra | rb;
-      break;
-    case Op::kPush:
-      e.use = ra | sp;
-      e.def = sp;
-      break;
-    case Op::kPop:
-      e.use = sp;
-      e.def = ra | sp;
-      break;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-      e.use = ra | rb;
-      break;
-    case Op::kJmp:
-      break;
-    case Op::kJmpr:
-      e.use = ra;
-      e.uses_all = true;  // target unknown: assume everything stays live
-      break;
-    case Op::kCall:
-      e.use = sp;
-      e.def = sp;
-      e.frame_delta = 0;  // balanced by the callee's ret
-      break;
-    case Op::kCallr:
-      e.use = ra | sp;
-      e.def = sp;
-      e.uses_all = true;
-      break;
-    case Op::kRet:
-      e.use = sp;
-      e.def = sp;
-      break;
-    case Op::kEnter:
-      e.use = sp | fp;
-      e.def = sp | fp;
-      e.frame_delta = 1;
-      break;
-    case Op::kLeave:
-      e.use = fp;
-      e.def = sp | fp;
-      e.frame_delta = -1;
-      break;
-    case Op::kSys: {
-      std::uint16_t args = 0;
-      const int n = sys_arg_count(in.imm);
-      for (int r = 1; r <= n; ++r) args |= reg_bit(static_cast<unsigned>(r));
-      e.use = args;
-      // kSound: a blocked or failing syscall may leave r1 untouched, so a
-      // def here would be a guaranteed-kill claim we cannot make.
-      if (model == DefUseModel::kLint && sys_writes_result(in.imm))
-        e.def = reg_bit(1);
-      break;
-    }
-
-    case Op::kFld:
-      e.use = rb;
-      e.fp_delta = 1;
-      break;
-    case Op::kFst:
-      e.use = rb;
-      e.fp_needs = 1;
-      e.fp_delta = -1;
-      break;
-    case Op::kFstnp:
-      e.use = rb;
-      e.fp_needs = 1;
-      break;
-    case Op::kFldz:
-    case Op::kFld1:
-      e.fp_delta = 1;
-      break;
-    case Op::kFaddp:
-    case Op::kFsubp:
-    case Op::kFmulp:
-    case Op::kFdivp:
-      e.fp_needs = 2;
-      e.fp_delta = -1;
-      break;
-    case Op::kFchs:
-    case Op::kFabs:
-    case Op::kFsqrt:
-    case Op::kFsin:
-    case Op::kFcos:
-      e.fp_needs = 1;
-      break;
-    case Op::kFxch:
-      e.fp_needs = static_cast<std::int8_t>((in.imm & 7) + 1);
-      break;
-    case Op::kFdup:
-      e.fp_needs = static_cast<std::int8_t>((in.imm & 7) + 1);
-      e.fp_delta = 1;
-      break;
-    case Op::kFcmp:
-      e.fp_needs = 2;
-      e.def = ra;
-      break;
-    case Op::kF2i:
-      e.fp_needs = 1;
-      e.fp_delta = -1;
-      e.def = ra;
-      break;
-    case Op::kI2f:
-      e.use = ra;
-      e.fp_delta = 1;
-      break;
-    case Op::kFpop:
-      e.fp_needs = 1;
-      e.fp_delta = -1;
-      break;
-  }
+  e.use = regs(op.use);
+  e.def = regs(op.def);
+  e.uses_all = (op.use & opdef::ALL) != 0;
+  e.fp_needs = op.fp_needs == opdef::STI
+                   ? static_cast<std::int8_t>((in.imm & 7) + 1)
+                   : op.fp_needs;
+  e.fp_delta = op.fp_delta;
+  e.frame_delta = op.frame_delta;
   return e;
 }
 

@@ -1,6 +1,6 @@
-// Per-instruction register and FP-stack effects, derived from the same
-// semantics machine.cpp executes (the comment next to each opcode in
-// isa.hpp is the contract; machine.cpp::exec_one is the oracle).
+// Per-instruction register and FP-stack effects, read from the use/def and
+// FP-stack columns of the opcode table (svm/ops.def), next to the op bodies
+// both execution engines run.
 //
 // Two models are exposed:
 //  * kSound — effects are an over-approximation of uses and an

@@ -4,7 +4,7 @@
 #include <deque>
 
 #include "svm/analysis/defuse.hpp"
-#include "svm/syscall.hpp"
+#include "svm/analysis/execgraph.hpp"
 
 namespace fsim::svm::analysis {
 
@@ -15,14 +15,6 @@ constexpr int kMaxDepth = static_cast<int>(kNumFpr);
 /// Canonical "know nothing" state: reachable, but no slot proof possible.
 constexpr DepthBounds top_state() noexcept {
   return DepthBounds{0, static_cast<std::int8_t>(kMaxDepth), false, true};
-}
-
-/// Does this syscall terminate the process? (Depth states do not flow into
-/// the dynamically dead epilogue after an abort; mirrors lint.cpp.)
-bool aborting_sys(const Instr& in) noexcept {
-  return in.op == Op::kSys &&
-         (in.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-          in.imm == static_cast<std::uint16_t>(Sys::kAssertFail));
 }
 
 /// Transfer one instruction's effect. Any possible underflow or overflow

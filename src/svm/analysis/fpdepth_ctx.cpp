@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "svm/analysis/defuse.hpp"
-#include "svm/syscall.hpp"
+#include "svm/analysis/execgraph.hpp"
 
 namespace fsim::svm::analysis {
 
@@ -15,12 +15,6 @@ constexpr int kMaxDepth = static_cast<int>(kNumFpr);
 
 constexpr DepthBounds top_state() noexcept {
   return DepthBounds{0, static_cast<std::int8_t>(kMaxDepth), false, true};
-}
-
-bool aborting_sys(const Instr& in) noexcept {
-  return in.op == Op::kSys &&
-         (in.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-          in.imm == static_cast<std::uint16_t>(Sys::kAssertFail));
 }
 
 DepthBounds apply(DepthBounds s, const RegEffect& e) noexcept {

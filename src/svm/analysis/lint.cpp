@@ -6,11 +6,11 @@
 #include <optional>
 #include <sstream>
 
+#include "svm/analysis/execgraph.hpp"
 #include "svm/analysis/fpdepth.hpp"
 #include "svm/analysis/heapliveness.hpp"
 #include "svm/analysis/memliveness.hpp"
 #include "svm/analysis/valuerange.hpp"
-#include "svm/syscall.hpp"
 #include "util/json.hpp"
 
 namespace fsim::svm::analysis {
@@ -92,9 +92,7 @@ void check_function_depths(const Cfg& cfg, const Cfg::Function& fn,
         const Instr di = decode(word);
         // An aborting syscall never returns: the depth does not flow into
         // the (defensive, dynamically dead) epilogue after it.
-        if (di.op == Op::kSys &&
-            (di.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-             di.imm == static_cast<std::uint16_t>(Sys::kAssertFail))) {
+        if (aborting_sys(di)) {
           aborted = true;
           break;
         }
@@ -266,6 +264,16 @@ std::map<Addr, SymbolAccess> scan_symbol_access(const Cfg& cfg,
     };
     for (Addr pc = b.begin; pc < b.end; pc += 4) {
       const Instr in = decode(cfg.word_at(pc));
+      const OpInfo& op = op_info(in.op);
+      if (op.mem_operand()) {
+        const bool load = op.access == Access::kLoad;
+        if (known[in.b])
+          mark(*known[in.b] + static_cast<Addr>(in.simm()), load, !load,
+               false, pc);
+        if (op.fmt == Fmt::kLoad) known[in.a].reset();
+        if (op.fmt == Fmt::kStore) escape_reg(in.a);  // publishes a pointer
+        continue;
+      }
       switch (in.op) {
         case Op::kLui:
           known[in.a] = static_cast<Addr>(in.imm) << 16;
@@ -286,31 +294,6 @@ std::map<Addr, SymbolAccess> scan_symbol_access(const Cfg& cfg,
           } else {
             known[in.a].reset();
           }
-          continue;
-        case Op::kLdw:
-        case Op::kLdb:
-          if (known[in.b])
-            mark(*known[in.b] + static_cast<Addr>(in.simm()), true, false,
-                 false, pc);
-          known[in.a].reset();
-          continue;
-        case Op::kFld:
-          if (known[in.b])
-            mark(*known[in.b] + static_cast<Addr>(in.simm()), true, false,
-                 false, pc);
-          continue;
-        case Op::kStw:
-        case Op::kStb:
-          if (known[in.b])
-            mark(*known[in.b] + static_cast<Addr>(in.simm()), false, true,
-                 false);
-          escape_reg(in.a);  // storing a pointer publishes it
-          continue;
-        case Op::kFst:
-        case Op::kFstnp:
-          if (known[in.b])
-            mark(*known[in.b] + static_cast<Addr>(in.simm()), false, true,
-                 false);
           continue;
         case Op::kPush:
           escape_reg(in.a);

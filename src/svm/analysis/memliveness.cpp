@@ -84,28 +84,20 @@ void MemLiveness::scan_frames() {
       for (Addr pc = b.begin; pc < b.end; pc += 4) {
         const std::uint32_t word = cfg.word_at(pc);
         const Instr in = decode(word);
+        const OpInfo& op = op_info(in.op);
+        if (op.mem_operand()) {
+          if (in.b == kFp) {
+            if (op.access == Access::kLoad)
+              touch_read(in.simm(), op.width, pc);
+            else
+              touch(fa.write_offsets, in.simm(), op.width);
+          }
+          // Loading into fp reloads it mid-function; storing fp publishes
+          // the frame address.
+          if (op.fmt != Fmt::kFMem && in.a == kFp) fa.escaped = true;
+          continue;
+        }
         switch (in.op) {
-          case Op::kLdw:
-          case Op::kLdb:
-            if (in.b == kFp) {
-              touch_read(in.simm(), in.op == Op::kLdw ? 4 : 1, pc);
-            }
-            if (in.a == kFp) fa.escaped = true;  // fp reloaded mid-function
-            continue;
-          case Op::kFld:
-            if (in.b == kFp) touch_read(in.simm(), 8, pc);
-            continue;
-          case Op::kStw:
-          case Op::kStb:
-            if (in.b == kFp) {
-              touch(fa.write_offsets, in.simm(), in.op == Op::kStw ? 4 : 1);
-            }
-            if (in.a == kFp) fa.escaped = true;  // frame address published
-            continue;
-          case Op::kFst:
-          case Op::kFstnp:
-            if (in.b == kFp) touch(fa.write_offsets, in.simm(), 8);
-            continue;
           case Op::kEnter:  // pushes the *caller's* fp: not this frame
           case Op::kLeave:  // epilogue restore
             continue;

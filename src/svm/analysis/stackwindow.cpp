@@ -9,36 +9,15 @@ namespace fsim::svm::analysis {
 
 namespace {
 
+// The three helpers below apply to ops with a [rB + simm] memory operand.
 bool fp_mem_base(const Instr& in) noexcept {
-  switch (in.op) {
-    case Op::kLdw:
-    case Op::kLdb:
-    case Op::kStw:
-    case Op::kStb:
-    case Op::kFld:
-    case Op::kFst:
-    case Op::kFstnp:
-      return in.b == kFp;
-    default:
-      return false;
-  }
+  return op_info(in.op).mem_operand() && in.b == kFp;
 }
 
-int access_bytes(const Instr& in) noexcept {
-  switch (in.op) {
-    case Op::kLdw:
-    case Op::kStw:
-      return 4;
-    case Op::kLdb:
-    case Op::kStb:
-      return 1;
-    default:
-      return 8;  // kFld / kFst / kFstnp
-  }
-}
+int access_bytes(const Instr& in) noexcept { return op_info(in.op).width; }
 
 bool is_read(const Instr& in) noexcept {
-  return in.op == Op::kLdw || in.op == Op::kLdb || in.op == Op::kFld;
+  return op_info(in.op).access == Access::kLoad;
 }
 
 }  // namespace
@@ -145,11 +124,8 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
         work.pop_front();
         int d = depth_in[bid];
         const Block& b = cfg.block(bid);
-        for (Addr pc = b.begin; pc < b.end; pc += 4) {
-          const Op op = decode(cfg.word_at(pc)).op;
-          if (op == Op::kEnter) ++d;
-          if (op == Op::kLeave) --d;
-        }
+        for (Addr pc = b.begin; pc < b.end; pc += 4)
+          d += op_info(decode(cfg.word_at(pc)).op).frame_delta;
         if (d < 0 || d > 1) {
           depth_ok = false;
           break;
@@ -195,8 +171,7 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
             }
           }
         }
-        if (in.op == Op::kEnter) ++d;
-        if (in.op == Op::kLeave) --d;
+        d += op_info(in.op).frame_delta;
       }
     }
 
@@ -346,11 +321,8 @@ bool StackWindow::slot_dead(Addr owner_pc, std::int32_t off) const noexcept {
   if (dit == fw.entry_depth.end()) return false;
   int depth = dit->second;
   const Block& b = cfg_->block(bid);
-  for (Addr pc = b.begin; pc < owner_pc && pc < b.end; pc += 4) {
-    const Op op = decode(cfg_->word_at(pc)).op;
-    if (op == Op::kEnter) ++depth;
-    if (op == Op::kLeave) --depth;
-  }
+  for (Addr pc = b.begin; pc < owner_pc && pc < b.end; pc += 4)
+    depth += op_info(decode(cfg_->word_at(pc)).op).frame_delta;
   if (depth != 1) return false;  // fp does not designate this frame yet
   auto oit = fw.offsets.find(off);
   if (oit == fw.offsets.end()) return true;  // byte never read anywhere

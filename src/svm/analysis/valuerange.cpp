@@ -6,7 +6,7 @@
 #include <deque>
 
 #include "svm/analysis/defuse.hpp"
-#include "svm/syscall.hpp"
+#include "svm/analysis/execgraph.hpp"
 
 namespace fsim::svm::analysis {
 
@@ -48,12 +48,6 @@ Interval iv_sub(const Interval& a, const Interval& b) noexcept {
       static_cast<std::int64_t>(a.lo) - static_cast<std::int64_t>(b.hi);
   if (lo < 0) return kTopI;
   return {static_cast<std::uint32_t>(lo), a.hi - b.lo};
-}
-
-bool aborting_sys(const Instr& in) noexcept {
-  return in.op == Op::kSys &&
-         (in.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-          in.imm == static_cast<std::uint16_t>(Sys::kAssertFail));
 }
 
 constexpr std::uint32_t kSignedMax = 0x7fffffffu;

@@ -193,97 +193,18 @@ std::vector<std::byte> decode_string(const std::string& tok, int line) {
 }
 
 // ---------------------------------------------------------------------------
-// Instruction table: mnemonic -> (opcode, operand format)
+// Mnemonic -> opcode, from the opcode table
 // ---------------------------------------------------------------------------
 
-enum class Fmt {
-  kNone,     // nop, ret, faddp ...
-  kR3,       // add r1, r2, r3
-  kRRI,      // addi r1, r2, imm
-  kRR,       // mov r1, r2
-  kRI,       // ldi r1, imm
-  kLoad,     // ldw r1, [r2+8]   fld-style uses kFMem
-  kStore,    // stw [r2+8], r1
-  kR,        // push r1
-  kBranch,   // beq r1, r2, label|imm
-  kJump,     // jmp label|imm ; call label|imm
-  kImm,      // enter n, sys n, fxch n, fdup n
-  kFMem,     // fld [r2+8], fst [r2+8]
-};
-
-struct InstrSpec {
-  Op op;
-  Fmt fmt;
-};
-
-const std::map<std::string, InstrSpec>& instr_table() {
-  static const std::map<std::string, InstrSpec> table = {
-      {"nop", {Op::kNop, Fmt::kNone}},
-      {"mov", {Op::kMov, Fmt::kRR}},
-      {"ldi", {Op::kLdi, Fmt::kRI}},
-      {"lui", {Op::kLui, Fmt::kRI}},
-      {"add", {Op::kAdd, Fmt::kR3}},
-      {"sub", {Op::kSub, Fmt::kR3}},
-      {"mul", {Op::kMul, Fmt::kR3}},
-      {"divs", {Op::kDivs, Fmt::kR3}},
-      {"rems", {Op::kRems, Fmt::kR3}},
-      {"and", {Op::kAnd, Fmt::kR3}},
-      {"or", {Op::kOr, Fmt::kR3}},
-      {"xor", {Op::kXor, Fmt::kR3}},
-      {"shl", {Op::kShl, Fmt::kR3}},
-      {"shr", {Op::kShr, Fmt::kR3}},
-      {"sra", {Op::kSra, Fmt::kR3}},
-      {"addi", {Op::kAddi, Fmt::kRRI}},
-      {"muli", {Op::kMuli, Fmt::kRRI}},
-      {"andi", {Op::kAndi, Fmt::kRRI}},
-      {"ori", {Op::kOri, Fmt::kRRI}},
-      {"xori", {Op::kXori, Fmt::kRRI}},
-      {"shli", {Op::kShli, Fmt::kRRI}},
-      {"shri", {Op::kShri, Fmt::kRRI}},
-      {"srai", {Op::kSrai, Fmt::kRRI}},
-      {"slt", {Op::kSlt, Fmt::kR3}},
-      {"sltu", {Op::kSltu, Fmt::kR3}},
-      {"ldw", {Op::kLdw, Fmt::kLoad}},
-      {"stw", {Op::kStw, Fmt::kStore}},
-      {"ldb", {Op::kLdb, Fmt::kLoad}},
-      {"stb", {Op::kStb, Fmt::kStore}},
-      {"push", {Op::kPush, Fmt::kR}},
-      {"pop", {Op::kPop, Fmt::kR}},
-      {"beq", {Op::kBeq, Fmt::kBranch}},
-      {"bne", {Op::kBne, Fmt::kBranch}},
-      {"blt", {Op::kBlt, Fmt::kBranch}},
-      {"bge", {Op::kBge, Fmt::kBranch}},
-      {"bltu", {Op::kBltu, Fmt::kBranch}},
-      {"bgeu", {Op::kBgeu, Fmt::kBranch}},
-      {"jmp", {Op::kJmp, Fmt::kJump}},
-      {"jmpr", {Op::kJmpr, Fmt::kR}},
-      {"call", {Op::kCall, Fmt::kJump}},
-      {"callr", {Op::kCallr, Fmt::kR}},
-      {"ret", {Op::kRet, Fmt::kNone}},
-      {"enter", {Op::kEnter, Fmt::kImm}},
-      {"leave", {Op::kLeave, Fmt::kNone}},
-      {"sys", {Op::kSys, Fmt::kImm}},
-      {"fld", {Op::kFld, Fmt::kFMem}},
-      {"fst", {Op::kFst, Fmt::kFMem}},
-      {"fstnp", {Op::kFstnp, Fmt::kFMem}},
-      {"fldz", {Op::kFldz, Fmt::kNone}},
-      {"fld1", {Op::kFld1, Fmt::kNone}},
-      {"faddp", {Op::kFaddp, Fmt::kNone}},
-      {"fsubp", {Op::kFsubp, Fmt::kNone}},
-      {"fmulp", {Op::kFmulp, Fmt::kNone}},
-      {"fdivp", {Op::kFdivp, Fmt::kNone}},
-      {"fchs", {Op::kFchs, Fmt::kNone}},
-      {"fabs", {Op::kFabs, Fmt::kNone}},
-      {"fsqrt", {Op::kFsqrt, Fmt::kNone}},
-      {"fsin", {Op::kFsin, Fmt::kNone}},
-      {"fcos", {Op::kFcos, Fmt::kNone}},
-      {"fxch", {Op::kFxch, Fmt::kImm}},
-      {"fdup", {Op::kFdup, Fmt::kImm}},
-      {"fcmp", {Op::kFcmp, Fmt::kR}},
-      {"f2i", {Op::kF2i, Fmt::kR}},
-      {"i2f", {Op::kI2f, Fmt::kR}},
-      {"fpop", {Op::kFpop, Fmt::kNone}},
-  };
+const std::map<std::string, Op>& instr_table() {
+  static const std::map<std::string, Op> table = [] {
+    std::map<std::string, Op> t;
+    for (unsigned byte = 0; byte < 256; ++byte) {
+      const Op op = static_cast<Op>(byte);
+      if (op_info(op).valid()) t.emplace(op_info(op).name, op);
+    }
+    return t;
+  }();
   return table;
 }
 
@@ -630,70 +551,75 @@ class Assembler {
       return;
     }
 
-    const InstrSpec spec = instr_table().at(s.mnem);
+    const Op op = instr_table().at(s.mnem);
     std::uint32_t word = 0;
-    switch (spec.fmt) {
+    switch (op_info(op).fmt) {
       case Fmt::kNone:
         if (!s.ops.empty()) throw AsmError(s.line, s.mnem + " takes no operands");
-        word = encode(spec.op);
+        word = encode(op);
+        break;
+      case Fmt::kR:
+        word = encode(op, expect_reg(s, 0));
+        break;
+      case Fmt::kRR:
+        word = encode(op, expect_reg(s, 0), expect_reg(s, 1));
         break;
       case Fmt::kR3: {
         const unsigned a = expect_reg(s, 0), b = expect_reg(s, 1), c = expect_reg(s, 2);
-        word = encode(spec.op, a, b, c);
+        word = encode(op, a, b, c);
+        break;
+      }
+      case Fmt::kRI: {
+        const unsigned a = expect_reg(s, 0);
+        word = encode(op, a, 0, check_simm16(s, expect_imm(s, 1)));
+        break;
+      }
+      case Fmt::kRU: {
+        const unsigned a = expect_reg(s, 0);
+        word = encode(op, a, 0, check_uimm16(s, expect_imm(s, 1)));
         break;
       }
       case Fmt::kRRI: {
         const unsigned a = expect_reg(s, 0), b = expect_reg(s, 1);
-        const std::int64_t v = expect_imm(s, 2);
-        const bool zero_ext = spec.op == Op::kAndi || spec.op == Op::kOri ||
-                              spec.op == Op::kXori;
-        word = encode(spec.op, a, b, zero_ext ? check_uimm16(s, v) : check_simm16(s, v));
+        word = encode(op, a, b, check_simm16(s, expect_imm(s, 2)));
         break;
       }
-      case Fmt::kRR:
-        word = encode(spec.op, expect_reg(s, 0), expect_reg(s, 1));
-        break;
-      case Fmt::kRI: {
-        const unsigned a = expect_reg(s, 0);
-        const std::int64_t v = expect_imm(s, 1);
-        const bool upper = spec.op == Op::kLui;
-        word = encode(spec.op, a, 0, upper ? check_uimm16(s, v) : check_simm16(s, v));
+      case Fmt::kRRU: {
+        const unsigned a = expect_reg(s, 0), b = expect_reg(s, 1);
+        word = encode(op, a, b, check_uimm16(s, expect_imm(s, 2)));
         break;
       }
       case Fmt::kLoad: {
         const unsigned a = expect_reg(s, 0);
         const Operand& m = expect_mem(s, 1);
-        word = encode(spec.op, a, m.reg, check_simm16(s, m.imm));
+        word = encode(op, a, m.reg, check_simm16(s, m.imm));
         break;
       }
       case Fmt::kStore: {
         const Operand& m = expect_mem(s, 0);
         const unsigned a = expect_reg(s, 1);
-        word = encode(spec.op, a, m.reg, check_simm16(s, m.imm));
-        break;
-      }
-      case Fmt::kR:
-        word = encode(spec.op, expect_reg(s, 0));
-        break;
-      case Fmt::kBranch: {
-        const unsigned a = expect_reg(s, 0), b = expect_reg(s, 1);
-        if (s.ops.size() != 3) throw AsmError(s.line, s.mnem + " needs a target");
-        word = encode(spec.op, a, b, rel_offset(s, s.offset, s.ops[2]));
-        break;
-      }
-      case Fmt::kJump: {
-        if (s.ops.size() != 1) throw AsmError(s.line, s.mnem + " needs a target");
-        word = encode(spec.op, 0, 0, rel_offset(s, s.offset, s.ops[0]));
-        break;
-      }
-      case Fmt::kImm: {
-        const std::int64_t v = s.ops.empty() ? 0 : expect_imm(s, 0);
-        word = encode(spec.op, 0, 0, check_uimm16(s, v));
+        word = encode(op, a, m.reg, check_simm16(s, m.imm));
         break;
       }
       case Fmt::kFMem: {
         const Operand& m = expect_mem(s, 0);
-        word = encode(spec.op, 0, m.reg, check_simm16(s, m.imm));
+        word = encode(op, 0, m.reg, check_simm16(s, m.imm));
+        break;
+      }
+      case Fmt::kBranch: {
+        const unsigned a = expect_reg(s, 0), b = expect_reg(s, 1);
+        if (s.ops.size() != 3) throw AsmError(s.line, s.mnem + " needs a target");
+        word = encode(op, a, b, rel_offset(s, s.offset, s.ops[2]));
+        break;
+      }
+      case Fmt::kJump: {
+        if (s.ops.size() != 1) throw AsmError(s.line, s.mnem + " needs a target");
+        word = encode(op, 0, 0, rel_offset(s, s.offset, s.ops[0]));
+        break;
+      }
+      case Fmt::kImm: {
+        const std::int64_t v = s.ops.empty() ? 0 : expect_imm(s, 0);
+        word = encode(op, 0, 0, check_uimm16(s, v));
         break;
       }
     }

@@ -17,11 +17,12 @@ DOp lower_op(Addr pc, std::uint32_t word) noexcept {
   d.a = in.a;
   d.b = in.b;
   d.c = in.c();
-  d.valid = is_valid_opcode(static_cast<std::uint8_t>(in.op));
-  // The dispatch byte is clamped to 0 for invalid words so the threaded
-  // table jump lands on the illegal-instruction handler without a separate
-  // validity check (a flipped opcode byte can hold any of the 256 values).
-  d.op = d.valid ? static_cast<std::uint8_t>(in.op) : 0;
+  const OpInfo& info = op_info(in.op);
+  d.valid = info.valid();
+  // The dispatch index is 0 for invalid words, so the threaded table jump
+  // lands on the illegal-instruction handler without a separate validity
+  // check (a flipped opcode byte can hold any of the 256 values).
+  d.op = info.index;
   // Precompute the relative target the same way the interpreter does:
   // int-typed simm*4 folded into the uint32 pc (wrapping mod 2^32).
   d.target = pc + 4 + static_cast<std::uint32_t>(in.simm() * 4);

@@ -32,11 +32,12 @@ class Cfg;
 
 namespace fsim::svm::exec {
 
-/// Dispatch byte of the guard slot a CompiledProgram places after each text
-/// segment's ops: one past the last real opcode, so the threaded engine's
-/// table dispatch catches straight-line execution running off a segment end
-/// without a per-instruction bounds check.
-inline constexpr std::uint8_t kGuardOp = 0x44;
+/// Dispatch index of the guard slot a CompiledProgram places after each text
+/// segment's ops: one past the last opcode row (OpInfo::index), so the
+/// threaded engine's table dispatch catches straight-line execution running
+/// off a segment end without a per-instruction bounds check.
+inline constexpr std::uint8_t kGuardOp = kNumOps + 1;
+static_assert(kNumOps + 1 <= 0xff, "dispatch indices must fit DOp::op");
 
 /// One lowered instruction. Field-for-field reconstructible into the
 /// `Instr` the interpreter consumes; the extra fields are the decode work
@@ -47,7 +48,7 @@ struct DOp {
   std::uint32_t tindex = 0xffffffffu;  // instruction index of `target`
   std::int32_t simm = 0;     // sign-extended imm16
   std::uint16_t imm = 0;     // raw immediate field
-  std::uint8_t op = 0;       // dispatch byte: the opcode, or 0 when invalid
+  std::uint8_t op = 0;       // dispatch index: OpInfo::index, 0 when invalid
   std::uint8_t a = 0;        // first register field
   std::uint8_t b = 0;        // second register field
   std::uint8_t c = 0;        // third ALU register (imm & 0xf)

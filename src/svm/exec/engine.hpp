@@ -2,11 +2,11 @@
 //
 // Two engines share one contract — bit-identical architectural semantics at
 // every instruction-quantum boundary:
-//  * kInterp:   the legacy fetch -> decode -> switch interpreter (with a
+//  * kInterp:   the fetch -> decode -> switch interpreter (with a
 //               per-text-snapshot decode cache, see compiled.hpp);
 //  * kThreaded: pre-decoded threaded code over the same compiled stream,
-//               dispatched via computed goto where the toolchain supports
-//               it (FSIM_HAVE_COMPUTED_GOTO) and a switch otherwise.
+//               dispatched via computed goto.
+// Both expand the op bodies of svm/ops.def.
 // Campaign aggregates must digest identically under either engine; the
 // engine tag is therefore carried for reporting but never enters result
 // digests or checkpoint identity.
@@ -19,7 +19,7 @@
 namespace fsim::svm::exec {
 
 enum class EngineKind : std::uint8_t {
-  kInterp,    // legacy interpreter loop
+  kInterp,    // interpreter loop
   kThreaded,  // pre-decoded threaded code (default)
 };
 
@@ -37,7 +37,7 @@ constexpr const char* engine_name(EngineKind kind) noexcept {
 /// Parse an --engine value; nullopt on anything unknown.
 inline std::optional<EngineKind> parse_engine_kind(
     std::string_view text) noexcept {
-  if (text == "interp" || text == "interpreter") return EngineKind::kInterp;
+  if (text == "interp") return EngineKind::kInterp;
   if (text == "threaded") return EngineKind::kThreaded;
   return std::nullopt;
 }

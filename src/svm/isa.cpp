@@ -7,80 +7,17 @@ namespace fsim::svm {
 
 namespace {
 
-struct OpInfo {
-  const char* name = nullptr;
-};
-
 constexpr std::array<OpInfo, 256> build_op_table() {
+  using namespace opdef;
   std::array<OpInfo, 256> t{};
-  auto set = [&](Op op, const char* name) {
-    t[static_cast<std::uint8_t>(op)] = OpInfo{name};
-  };
-  set(Op::kNop, "nop");
-  set(Op::kMov, "mov");
-  set(Op::kLdi, "ldi");
-  set(Op::kLui, "lui");
-  set(Op::kAdd, "add");
-  set(Op::kSub, "sub");
-  set(Op::kMul, "mul");
-  set(Op::kDivs, "divs");
-  set(Op::kRems, "rems");
-  set(Op::kAnd, "and");
-  set(Op::kOr, "or");
-  set(Op::kXor, "xor");
-  set(Op::kShl, "shl");
-  set(Op::kShr, "shr");
-  set(Op::kSra, "sra");
-  set(Op::kAddi, "addi");
-  set(Op::kMuli, "muli");
-  set(Op::kAndi, "andi");
-  set(Op::kOri, "ori");
-  set(Op::kXori, "xori");
-  set(Op::kShli, "shli");
-  set(Op::kShri, "shri");
-  set(Op::kSrai, "srai");
-  set(Op::kSlt, "slt");
-  set(Op::kSltu, "sltu");
-  set(Op::kLdw, "ldw");
-  set(Op::kStw, "stw");
-  set(Op::kLdb, "ldb");
-  set(Op::kStb, "stb");
-  set(Op::kPush, "push");
-  set(Op::kPop, "pop");
-  set(Op::kBeq, "beq");
-  set(Op::kBne, "bne");
-  set(Op::kBlt, "blt");
-  set(Op::kBge, "bge");
-  set(Op::kBltu, "bltu");
-  set(Op::kBgeu, "bgeu");
-  set(Op::kJmp, "jmp");
-  set(Op::kJmpr, "jmpr");
-  set(Op::kCall, "call");
-  set(Op::kCallr, "callr");
-  set(Op::kRet, "ret");
-  set(Op::kEnter, "enter");
-  set(Op::kLeave, "leave");
-  set(Op::kSys, "sys");
-  set(Op::kFld, "fld");
-  set(Op::kFst, "fst");
-  set(Op::kFstnp, "fstnp");
-  set(Op::kFldz, "fldz");
-  set(Op::kFld1, "fld1");
-  set(Op::kFaddp, "faddp");
-  set(Op::kFsubp, "fsubp");
-  set(Op::kFmulp, "fmulp");
-  set(Op::kFdivp, "fdivp");
-  set(Op::kFchs, "fchs");
-  set(Op::kFabs, "fabs");
-  set(Op::kFsqrt, "fsqrt");
-  set(Op::kFsin, "fsin");
-  set(Op::kFcos, "fcos");
-  set(Op::kFxch, "fxch");
-  set(Op::kFdup, "fdup");
-  set(Op::kFcmp, "fcmp");
-  set(Op::kF2i, "f2i");
-  set(Op::kI2f, "i2f");
-  set(Op::kFpop, "fpop");
+  std::uint8_t index = 0;
+#define OP(name, code, mnem, format, flow_kind, use, def, fp_needs, fp_delta, \
+           frame_delta, access, width, ...)                                   \
+  t[code] = OpInfo{mnem,      Fmt::k##format, FlowKind::k##flow_kind,        \
+                   use,       def,            fp_needs,                      \
+                   fp_delta,  frame_delta,    Access::k##access,             \
+                   width,     ++index};
+#include "svm/ops.def"
   return t;
 }
 
@@ -88,13 +25,8 @@ constexpr auto kOpTable = build_op_table();
 
 }  // namespace
 
-bool is_valid_opcode(std::uint8_t op) noexcept {
-  return kOpTable[op].name != nullptr;
-}
-
-const char* mnemonic(Op op) noexcept {
-  const char* n = kOpTable[static_cast<std::uint8_t>(op)].name;
-  return n ? n : "???";
+const OpInfo& op_info(Op op) noexcept {
+  return kOpTable[static_cast<std::uint8_t>(op)];
 }
 
 namespace {
@@ -102,119 +34,65 @@ namespace {
 std::string disassemble_impl(std::uint32_t word, bool have_pc,
                              std::uint32_t pc) {
   const Instr i = decode(word);
+  const OpInfo& info = op_info(i.op);
   char buf[96];
-  const char* m = mnemonic(i.op);
-  if (!is_valid_opcode(static_cast<std::uint8_t>(i.op))) {
+  const char* m = info.name;
+  if (!info.valid()) {
     std::snprintf(buf, sizeof buf, ".illegal 0x%08x", word);
     return buf;
   }
   // With PC context, control-flow targets print as absolute addresses.
-  const std::int64_t target =
-      static_cast<std::int64_t>(pc) + 4 + static_cast<std::int64_t>(i.simm()) * 4;
-  switch (i.op) {
-    case Op::kNop:
-    case Op::kRet:
-    case Op::kLeave:
-    case Op::kFldz:
-    case Op::kFld1:
-    case Op::kFaddp:
-    case Op::kFsubp:
-    case Op::kFmulp:
-    case Op::kFdivp:
-    case Op::kFchs:
-    case Op::kFabs:
-    case Op::kFsqrt:
-    case Op::kFsin:
-    case Op::kFcos:
-    case Op::kFpop:
+  const long long target =
+      static_cast<long long>(pc) + 4 + static_cast<long long>(i.simm()) * 4;
+  switch (info.fmt) {
+    case Fmt::kNone:
       std::snprintf(buf, sizeof buf, "%s", m);
       break;
-    case Op::kMov:
-      std::snprintf(buf, sizeof buf, "%s r%u, r%u", m, i.a, i.b);
-      break;
-    case Op::kLdi:
-      std::snprintf(buf, sizeof buf, "%s r%u, %d", m, i.a, i.simm());
-      break;
-    case Op::kLui:  // zero-extended immediate: print unsigned
-      std::snprintf(buf, sizeof buf, "%s r%u, %u", m, i.a, i.imm);
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDivs:
-    case Op::kRems:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kSra:
-    case Op::kSlt:
-    case Op::kSltu:
-      std::snprintf(buf, sizeof buf, "%s r%u, r%u, r%u", m, i.a, i.b, i.c());
-      break;
-    case Op::kAddi:
-    case Op::kMuli:
-    case Op::kShli:
-    case Op::kShri:
-    case Op::kSrai:
-      std::snprintf(buf, sizeof buf, "%s r%u, r%u, %d", m, i.a, i.b, i.simm());
-      break;
-    case Op::kAndi:
-    case Op::kOri:
-    case Op::kXori:  // zero-extended immediates: print unsigned
-      std::snprintf(buf, sizeof buf, "%s r%u, r%u, %u", m, i.a, i.b, i.imm);
-      break;
-    case Op::kLdw:
-    case Op::kLdb:
-      std::snprintf(buf, sizeof buf, "%s r%u, [r%u%+d]", m, i.a, i.b, i.simm());
-      break;
-    case Op::kStw:
-    case Op::kStb:
-      std::snprintf(buf, sizeof buf, "%s [r%u%+d], r%u", m, i.b, i.simm(), i.a);
-      break;
-    case Op::kFld:
-    case Op::kFst:
-    case Op::kFstnp:
-      std::snprintf(buf, sizeof buf, "%s [r%u%+d]", m, i.b, i.simm());
-      break;
-    case Op::kPush:
-    case Op::kPop:
-    case Op::kJmpr:
-    case Op::kCallr:
-    case Op::kI2f:
+    case Fmt::kR:
       std::snprintf(buf, sizeof buf, "%s r%u", m, i.a);
       break;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
+    case Fmt::kRR:
+      std::snprintf(buf, sizeof buf, "%s r%u, r%u", m, i.a, i.b);
+      break;
+    case Fmt::kR3:
+      std::snprintf(buf, sizeof buf, "%s r%u, r%u, r%u", m, i.a, i.b, i.c());
+      break;
+    case Fmt::kRI:
+      std::snprintf(buf, sizeof buf, "%s r%u, %d", m, i.a, i.simm());
+      break;
+    case Fmt::kRU:
+      std::snprintf(buf, sizeof buf, "%s r%u, %u", m, i.a, i.imm);
+      break;
+    case Fmt::kRRI:
+      std::snprintf(buf, sizeof buf, "%s r%u, r%u, %d", m, i.a, i.b, i.simm());
+      break;
+    case Fmt::kRRU:
+      std::snprintf(buf, sizeof buf, "%s r%u, r%u, %u", m, i.a, i.b, i.imm);
+      break;
+    case Fmt::kLoad:
+      std::snprintf(buf, sizeof buf, "%s r%u, [r%u%+d]", m, i.a, i.b, i.simm());
+      break;
+    case Fmt::kStore:
+      std::snprintf(buf, sizeof buf, "%s [r%u%+d], r%u", m, i.b, i.simm(), i.a);
+      break;
+    case Fmt::kFMem:
+      std::snprintf(buf, sizeof buf, "%s [r%u%+d]", m, i.b, i.simm());
+      break;
+    case Fmt::kBranch:
       if (have_pc)
-        std::snprintf(buf, sizeof buf, "%s r%u, r%u, %lld", m, i.a, i.b,
-                      static_cast<long long>(target));
+        std::snprintf(buf, sizeof buf, "%s r%u, r%u, %lld", m, i.a, i.b, target);
       else
         std::snprintf(buf, sizeof buf, "%s r%u, r%u, %d", m, i.a, i.b,
                       i.simm());
       break;
-    case Op::kJmp:
-    case Op::kCall:
+    case Fmt::kJump:
       if (have_pc)
-        std::snprintf(buf, sizeof buf, "%s %lld", m,
-                      static_cast<long long>(target));
+        std::snprintf(buf, sizeof buf, "%s %lld", m, target);
       else
         std::snprintf(buf, sizeof buf, "%s %d", m, i.simm());
       break;
-    case Op::kEnter:
-    case Op::kSys:
-    case Op::kFxch:
-    case Op::kFdup:
+    case Fmt::kImm:
       std::snprintf(buf, sizeof buf, "%s %u", m, i.imm);
-      break;
-    case Op::kFcmp:
-    case Op::kF2i:
-      std::snprintf(buf, sizeof buf, "%s r%u", m, i.a);
       break;
   }
   return buf;

@@ -20,76 +20,95 @@
 
 namespace fsim::svm {
 
+/// Opcodes, generated from the opcode table (svm/ops.def), where each
+/// op's operands, effects and semantics are documented.
 enum class Op : std::uint8_t {
-  // 0x00 is deliberately undefined: zeroed memory decodes to SIGILL.
-  kNop = 0x01,
-  kMov = 0x02,   // rA <- rB
-  kLdi = 0x03,   // rA <- sext(imm16)
-  kLui = 0x04,   // rA <- imm16 << 16
-  kAdd = 0x05,   // rA <- rB + rC
-  kSub = 0x06,
-  kMul = 0x07,
-  kDivs = 0x08,  // signed divide; divisor 0 traps SIGFPE
-  kRems = 0x09,
-  kAnd = 0x0a,
-  kOr = 0x0b,
-  kXor = 0x0c,
-  kShl = 0x0d,
-  kShr = 0x0e,
-  kSra = 0x0f,
-  kAddi = 0x10,  // rA <- rB + sext(imm16)
-  kMuli = 0x11,
-  kAndi = 0x12,  // zero-extended immediate
-  kOri = 0x13,
-  kXori = 0x14,
-  kShli = 0x15,
-  kShri = 0x16,
-  kSrai = 0x17,
-  kSlt = 0x18,   // rA <- (rB <s rC)
-  kSltu = 0x19,
-  kLdw = 0x1a,   // rA <- mem32[rB + sext(imm16)]
-  kStw = 0x1b,   // mem32[rB + sext(imm16)] <- rA
-  kLdb = 0x1c,   // rA <- zext(mem8[rB + sext(imm16)])
-  kStb = 0x1d,
-  kPush = 0x1e,  // sp -= 4; mem32[sp] <- rA
-  kPop = 0x1f,
-  kBeq = 0x20,   // if rA == rB: pc += 4 + sext(imm16)*4
-  kBne = 0x21,
-  kBlt = 0x22,
-  kBge = 0x23,
-  kBltu = 0x24,
-  kBgeu = 0x25,
-  kJmp = 0x26,   // pc += 4 + sext(imm16)*4
-  kJmpr = 0x27,  // pc <- rA
-  kCall = 0x28,  // push pc+4; pc += 4 + sext(imm16)*4
-  kCallr = 0x29, // push pc+4; pc <- rA
-  kRet = 0x2a,   // pop pc
-  kEnter = 0x2b, // push fp; fp <- sp; sp -= imm16 (frame allocation)
-  kLeave = 0x2c, // sp <- fp; pop fp
-  kSys = 0x2d,   // host syscall imm16 (I/O, heap, MPI)
-
-  // x87-style floating point stack. ST(0) is the top of an 8-register stack.
-  kFld = 0x30,   // push mem64[rB + sext(imm16)]
-  kFst = 0x31,   // mem64[rB + sext(imm16)] <- ST(0); pop
-  kFstnp = 0x32, // store without pop
-  kFldz = 0x33,  // push +0.0
-  kFld1 = 0x34,  // push 1.0
-  kFaddp = 0x35, // ST(1) <- ST(1) + ST(0); pop
-  kFsubp = 0x36, // ST(1) <- ST(1) - ST(0); pop
-  kFmulp = 0x37,
-  kFdivp = 0x38, // ST(1) <- ST(1) / ST(0); pop (IEEE semantics, no trap)
-  kFchs = 0x39,  // ST(0) <- -ST(0)
-  kFabs = 0x3a,
-  kFsqrt = 0x3b, // sqrt(ST(0)); negative input yields NaN
-  kFsin = 0x3c,
-  kFcos = 0x3d,
-  kFxch = 0x3e,  // swap ST(0) and ST(imm16 & 7)
-  kFdup = 0x3f,  // push a copy of ST(imm16 & 7)
-  kFcmp = 0x40,  // rA <- {-1,0,1} comparing ST(0) with ST(1); 2 if unordered
-  kF2i = 0x41,   // rA <- (int32)ST(0); pop
-  kI2f = 0x42,   // push (double)(int32)rA
-  kFpop = 0x43,  // pop and discard
+#define OP(name, code, ...) k##name = code,
+#include "svm/ops.def"
 };
+
+/// Number of defined opcodes.
+inline constexpr unsigned kNumOps = 0
+#define OP(...) +1
+#include "svm/ops.def"
+    ;
+
+/// Operand syntax of an opcode, shared by the assembler and disassembler.
+/// Signed (I) and zero-extended (U) 16-bit immediates are distinct formats.
+enum class Fmt : std::uint8_t {
+  kNone,    // nop
+  kR,       // push r1
+  kRR,      // mov r1, r2
+  kR3,      // add r1, r2, r3
+  kRI,      // ldi r1, simm
+  kRU,      // lui r1, uimm
+  kRRI,     // addi r1, r2, simm
+  kRRU,     // andi r1, r2, uimm
+  kLoad,    // ldw r1, [r2+simm]
+  kStore,   // stw [r2+simm], r1
+  kFMem,    // fld [r2+simm]
+  kBranch,  // beq r1, r2, target
+  kJump,    // jmp target
+  kImm,     // enter uimm
+};
+
+/// Control-transfer class of an instruction.
+enum class FlowKind : std::uint8_t {
+  kFallthrough,   // ordinary instruction: pc+4
+  kBranch,        // conditional: pc+4 or relative target
+  kJump,          // unconditional relative target
+  kIndirectJump,  // jmpr: register target
+  kCall,          // relative target, pushes return address
+  kIndirectCall,  // callr: register target, pushes return address
+  kRet,           // pops return address
+  kSys,           // pc+4, but a blocked syscall re-fetches its own pc
+  kIllegal,       // undefined opcode: traps
+};
+
+/// Data-memory access of an opcode (see the ops.def access column).
+enum class Access : std::uint8_t { kNone, kLoad, kStore };
+
+/// Vocabulary of the ops.def columns.
+namespace opdef {
+// Register roles, the bits of OpInfo::use and OpInfo::def.
+inline constexpr std::uint8_t A = 1 << 0;     // the rA field
+inline constexpr std::uint8_t B = 1 << 1;     // the rB field
+inline constexpr std::uint8_t C = 1 << 2;     // the rC field (imm & 0xf)
+inline constexpr std::uint8_t SP = 1 << 3;    // the stack pointer
+inline constexpr std::uint8_t FP = 1 << 4;    // the frame pointer
+inline constexpr std::uint8_t ALL = 1 << 5;   // indirect: any GPR stays live
+inline constexpr std::uint8_t ARGS = 1 << 6;  // the syscall's argument regs
+inline constexpr std::uint8_t RES = 1 << 7;   // the syscall's result in r1
+// fp_needs of an op that reads ST(imm & 7).
+inline constexpr std::int8_t STI = -1;
+}  // namespace opdef
+
+/// Static facts of one opcode byte, from its ops.def row.
+struct OpInfo {
+  const char* name = nullptr;  // mnemonic; nullptr for an undefined byte
+  Fmt fmt = Fmt::kNone;
+  FlowKind flow = FlowKind::kIllegal;
+  std::uint8_t use = 0;  // opdef role masks
+  std::uint8_t def = 0;
+  std::int8_t fp_needs = 0;  // or opdef::STI
+  std::int8_t fp_delta = 0;
+  std::int8_t frame_delta = 0;
+  Access access = Access::kNone;
+  std::uint8_t width = 0;  // bytes accessed
+  /// Dense dispatch index: the row number 1..kNumOps, 0 when undefined.
+  std::uint8_t index = 0;
+
+  constexpr bool valid() const noexcept { return name != nullptr; }
+  /// Operates on the FP stack (every x87-style op, and only those).
+  constexpr bool fpu() const noexcept { return fp_needs != 0 || fp_delta != 0; }
+  /// Has a [rB + simm] memory operand.
+  constexpr bool mem_operand() const noexcept {
+    return fmt == Fmt::kLoad || fmt == Fmt::kStore || fmt == Fmt::kFMem;
+  }
+};
+
+/// The ops.def row of an opcode byte (an all-default OpInfo if undefined).
+const OpInfo& op_info(Op op) noexcept;
 
 /// Decoded instruction. `imm` is the raw 16-bit field; helpers interpret it.
 struct Instr {
@@ -120,10 +139,15 @@ constexpr Instr decode(std::uint32_t word) noexcept {
 }
 
 /// True if the opcode byte names a defined instruction.
-bool is_valid_opcode(std::uint8_t op) noexcept;
+inline bool is_valid_opcode(std::uint8_t op) noexcept {
+  return op_info(static_cast<Op>(op)).valid();
+}
 
-/// Mnemonic for a defined opcode ("add", "fld", ...); "???" if undefined.
-const char* mnemonic(Op op) noexcept;
+/// Mnemonic for a defined opcode; "???" if undefined.
+inline const char* mnemonic(Op op) noexcept {
+  const char* n = op_info(op).name;
+  return n ? n : "???";
+}
 
 /// Human-readable disassembly of one instruction word. Emits the exact
 /// syntax the assembler accepts, so `assemble(disassemble(w))` round-trips

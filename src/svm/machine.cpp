@@ -1,5 +1,6 @@
 #include "svm/machine.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -96,15 +97,15 @@ bool Machine::exec_one() {
   // matches what it was lowered from; a mismatch (injected text flip) takes
   // the one-off slow decode for just that word.
   ensure_code();
-  exec::DOp d;
+  exec::DOp op;
   if (const std::uint32_t idx = cur_code_->index_of(regs_.pc);
       idx != exec::CompiledProgram::kNoIndex &&
       cur_code_->ops()[idx].raw == word) {
-    d = cur_code_->ops()[idx];
+    op = cur_code_->ops()[idx];
   } else {
-    d = exec::lower_op(regs_.pc, word);
+    op = exec::lower_op(regs_.pc, word);
   }
-  if (!d.valid) {
+  if (!op.valid) {
     raise(Trap::kIllegalInstruction, regs_.pc);
     return false;
   }
@@ -112,339 +113,53 @@ bool Machine::exec_one() {
   ++icount_;
   auto& g = regs_.gpr;
   Fpu& f = regs_.fpu;
-  std::uint32_t next_pc = regs_.pc + 4;
+  const exec::DOp* const d = &op;
+  const Addr pc = regs_.pc;
 
-  auto mem_fail = [&](Trap t, Addr a) {
-    raise(t, a);
-    return false;
-  };
+  // The op bodies of svm/ops.def over the interpreter's vocabulary: memory
+  // goes through mem_ so an attached AccessObserver sees every access.
+#define MEM mem_
+#define FAIL(trap, addr)    \
+  do {                      \
+    raise((trap), (addr));  \
+    return false;           \
+  } while (0)
+#define NEXT_SEQ()        \
+  do {                    \
+    regs_.pc = pc + 4;    \
+    return true;          \
+  } while (0)
+#define NEXT_TO(tgt, tidx) NEXT_DYN(tgt)
+#define NEXT_DYN(tgt)   \
+  do {                  \
+    regs_.pc = (tgt);   \
+    return true;        \
+  } while (0)
+  // kBlock parks the machine with pc still on the sys word; kExit and kTrap
+  // already set the state through finish()/raise().
+#define SYSCALL(number)                                          \
+  do {                                                           \
+    const SysResult r = handler_->on_syscall(*this, (number));   \
+    if (r == SysResult::kBlock) state_ = RunState::kBlocked;     \
+    if (r != SysResult::kDone) return false;                     \
+    NEXT_SEQ();                                                  \
+  } while (0)
 
-  switch (static_cast<Op>(d.op)) {
-    case Op::kNop:
-      break;
-    case Op::kMov:
-      g[d.a] = g[d.b];
-      break;
-    case Op::kLdi:
-      g[d.a] = static_cast<std::uint32_t>(d.simm);
-      break;
-    case Op::kLui:
-      g[d.a] = static_cast<std::uint32_t>(d.imm) << 16;
-      break;
-    case Op::kAdd:
-      g[d.a] = g[d.b] + g[d.c];
-      break;
-    case Op::kSub:
-      g[d.a] = g[d.b] - g[d.c];
-      break;
-    case Op::kMul:
-      g[d.a] = g[d.b] * g[d.c];
-      break;
-    case Op::kDivs: {
-      const std::int32_t dv = static_cast<std::int32_t>(g[d.c]);
-      if (dv == 0) return mem_fail(Trap::kIntDivideByZero, regs_.pc);
-      const std::int32_t n = static_cast<std::int32_t>(g[d.b]);
-      // INT_MIN / -1 overflows on x86 (SIGFPE); model the same.
-      if (n == std::numeric_limits<std::int32_t>::min() && dv == -1)
-        return mem_fail(Trap::kIntDivideByZero, regs_.pc);
-      g[d.a] = static_cast<std::uint32_t>(n / dv);
-      break;
-    }
-    case Op::kRems: {
-      const std::int32_t dv = static_cast<std::int32_t>(g[d.c]);
-      if (dv == 0) return mem_fail(Trap::kIntDivideByZero, regs_.pc);
-      const std::int32_t n = static_cast<std::int32_t>(g[d.b]);
-      if (n == std::numeric_limits<std::int32_t>::min() && dv == -1)
-        return mem_fail(Trap::kIntDivideByZero, regs_.pc);
-      g[d.a] = static_cast<std::uint32_t>(n % dv);
-      break;
-    }
-    case Op::kAnd:
-      g[d.a] = g[d.b] & g[d.c];
-      break;
-    case Op::kOr:
-      g[d.a] = g[d.b] | g[d.c];
-      break;
-    case Op::kXor:
-      g[d.a] = g[d.b] ^ g[d.c];
-      break;
-    case Op::kShl:
-      g[d.a] = g[d.b] << (g[d.c] & 31);
-      break;
-    case Op::kShr:
-      g[d.a] = g[d.b] >> (g[d.c] & 31);
-      break;
-    case Op::kSra:
-      g[d.a] = static_cast<std::uint32_t>(
-          static_cast<std::int32_t>(g[d.b]) >> (g[d.c] & 31));
-      break;
-    case Op::kAddi:
-      g[d.a] = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      break;
-    case Op::kMuli:
-      g[d.a] = g[d.b] * static_cast<std::uint32_t>(d.simm);
-      break;
-    case Op::kAndi:
-      g[d.a] = g[d.b] & d.imm;
-      break;
-    case Op::kOri:
-      g[d.a] = g[d.b] | d.imm;
-      break;
-    case Op::kXori:
-      g[d.a] = g[d.b] ^ d.imm;
-      break;
-    case Op::kShli:
-      g[d.a] = g[d.b] << (d.imm & 31);
-      break;
-    case Op::kShri:
-      g[d.a] = g[d.b] >> (d.imm & 31);
-      break;
-    case Op::kSrai:
-      g[d.a] = static_cast<std::uint32_t>(
-          static_cast<std::int32_t>(g[d.b]) >> (d.imm & 31));
-      break;
-    case Op::kSlt:
-      g[d.a] = static_cast<std::int32_t>(g[d.b]) <
-                       static_cast<std::int32_t>(g[d.c])
-                   ? 1
-                   : 0;
-      break;
-    case Op::kSltu:
-      g[d.a] = g[d.b] < g[d.c] ? 1 : 0;
-      break;
-    case Op::kLdw: {
-      const Addr a = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      std::uint32_t v = 0;
-      if (Trap t = mem_.load32(a, v); t != Trap::kNone) return mem_fail(t, a);
-      g[d.a] = v;
-      break;
-    }
-    case Op::kStw: {
-      const Addr a = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      if (Trap t = mem_.store32(a, g[d.a]); t != Trap::kNone)
-        return mem_fail(t, a);
-      break;
-    }
-    case Op::kLdb: {
-      const Addr a = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      std::uint8_t v = 0;
-      if (Trap t = mem_.load8(a, v); t != Trap::kNone) return mem_fail(t, a);
-      g[d.a] = v;
-      break;
-    }
-    case Op::kStb: {
-      const Addr a = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      if (Trap t = mem_.store8(a, static_cast<std::uint8_t>(g[d.a]));
-          t != Trap::kNone)
-        return mem_fail(t, a);
-      break;
-    }
-    case Op::kPush: {
-      const Addr a = g[kSp] - 4;
-      if (Trap t = mem_.store32(a, g[d.a]); t != Trap::kNone)
-        return mem_fail(t == Trap::kBadAddress ? Trap::kStackOverflow : t, a);
-      g[kSp] = a;
-      break;
-    }
-    case Op::kPop: {
-      std::uint32_t v = 0;
-      if (Trap t = mem_.load32(g[kSp], v); t != Trap::kNone)
-        return mem_fail(t, g[kSp]);
-      g[d.a] = v;
-      g[kSp] += 4;
-      break;
-    }
-    case Op::kBeq:
-      if (g[d.a] == g[d.b]) next_pc = d.target;
-      break;
-    case Op::kBne:
-      if (g[d.a] != g[d.b]) next_pc = d.target;
-      break;
-    case Op::kBlt:
-      if (static_cast<std::int32_t>(g[d.a]) <
-          static_cast<std::int32_t>(g[d.b]))
-        next_pc = d.target;
-      break;
-    case Op::kBge:
-      if (static_cast<std::int32_t>(g[d.a]) >=
-          static_cast<std::int32_t>(g[d.b]))
-        next_pc = d.target;
-      break;
-    case Op::kBltu:
-      if (g[d.a] < g[d.b]) next_pc = d.target;
-      break;
-    case Op::kBgeu:
-      if (g[d.a] >= g[d.b]) next_pc = d.target;
-      break;
-    case Op::kJmp:
-      next_pc = d.target;
-      break;
-    case Op::kJmpr:
-      next_pc = g[d.a];
-      break;
-    case Op::kCall: {
-      const Addr a = g[kSp] - 4;
-      if (Trap t = mem_.store32(a, regs_.pc + 4); t != Trap::kNone)
-        return mem_fail(t == Trap::kBadAddress ? Trap::kStackOverflow : t, a);
-      g[kSp] = a;
-      next_pc = d.target;
-      break;
-    }
-    case Op::kCallr: {
-      const Addr a = g[kSp] - 4;
-      if (Trap t = mem_.store32(a, regs_.pc + 4); t != Trap::kNone)
-        return mem_fail(t == Trap::kBadAddress ? Trap::kStackOverflow : t, a);
-      g[kSp] = a;
-      next_pc = g[d.a];
-      break;
-    }
-    case Op::kRet: {
-      std::uint32_t v = 0;
-      if (Trap t = mem_.load32(g[kSp], v); t != Trap::kNone)
-        return mem_fail(t, g[kSp]);
-      g[kSp] += 4;
-      next_pc = v;
-      break;
-    }
-    case Op::kEnter: {
-      const Addr a = g[kSp] - 4;
-      if (Trap t = mem_.store32(a, g[kFp]); t != Trap::kNone)
-        return mem_fail(t == Trap::kBadAddress ? Trap::kStackOverflow : t, a);
-      g[kSp] = a;
-      g[kFp] = a;
-      g[kSp] -= d.imm;
-      break;
-    }
-    case Op::kLeave: {
-      g[kSp] = g[kFp];
-      std::uint32_t v = 0;
-      if (Trap t = mem_.load32(g[kSp], v); t != Trap::kNone)
-        return mem_fail(t, g[kSp]);
-      g[kFp] = v;
-      g[kSp] += 4;
-      break;
-    }
-    case Op::kSys: {
-      if (handler_ == nullptr) return mem_fail(Trap::kBadSyscall, regs_.pc);
-      const SysResult r = handler_->on_syscall(*this, d.imm);
-      switch (r) {
-        case SysResult::kDone:
-          break;
-        case SysResult::kBlock:
-          state_ = RunState::kBlocked;
-          return false;  // PC stays on the SYS instruction
-        case SysResult::kExit:
-          return false;  // finish() already called by the handler
-        case SysResult::kTrap:
-          return false;  // raise() already called by the handler
-      }
-      break;
-    }
-
-    // --- x87-style floating point ---
-    case Op::kFld: {
-      const Addr a = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      std::uint64_t bits = 0;
-      if (Trap t = mem_.load64(a, bits); t != Trap::kNone)
-        return mem_fail(t, a);
-      f.push(std::bit_cast<double>(bits));
-      break;
-    }
-    case Op::kFst: {
-      const Addr a = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      const double v = f.st(0);
-      if (Trap t = mem_.store64(a, std::bit_cast<std::uint64_t>(v));
-          t != Trap::kNone)
-        return mem_fail(t, a);
-      f.pop();
-      break;
-    }
-    case Op::kFstnp: {
-      const Addr a = g[d.b] + static_cast<std::uint32_t>(d.simm);
-      const double v = f.st(0);
-      if (Trap t = mem_.store64(a, std::bit_cast<std::uint64_t>(v));
-          t != Trap::kNone)
-        return mem_fail(t, a);
-      break;
-    }
-    case Op::kFldz:
-      f.push(0.0);
-      break;
-    case Op::kFld1:
-      f.push(1.0);
-      break;
-    case Op::kFaddp: {
-      const double b = f.pop();
-      f.set_st(0, f.st(0) + b);
-      break;
-    }
-    case Op::kFsubp: {
-      const double b = f.pop();
-      f.set_st(0, f.st(0) - b);
-      break;
-    }
-    case Op::kFmulp: {
-      const double b = f.pop();
-      f.set_st(0, f.st(0) * b);
-      break;
-    }
-    case Op::kFdivp: {
-      const double b = f.pop();
-      f.set_st(0, f.st(0) / b);  // IEEE: x/0 = inf, 0/0 = NaN, no trap
-      break;
-    }
-    case Op::kFchs:
-      f.set_st(0, -f.st(0));
-      break;
-    case Op::kFabs:
-      f.set_st(0, std::fabs(f.st(0)));
-      break;
-    case Op::kFsqrt:
-      f.set_st(0, std::sqrt(f.st(0)));
-      break;
-    case Op::kFsin:
-      f.set_st(0, std::sin(f.st(0)));
-      break;
-    case Op::kFcos:
-      f.set_st(0, std::cos(f.st(0)));
-      break;
-    case Op::kFxch:
-      f.exchange(d.imm & 7);
-      break;
-    case Op::kFdup:
-      f.push(f.st(d.imm & 7));
-      break;
-    case Op::kFcmp: {
-      const double a = f.st(0), b = f.st(1);
-      std::int32_t r;
-      if (a != a || b != b) r = 2;           // unordered
-      else if (a < b) r = -1;
-      else if (a > b) r = 1;
-      else r = 0;
-      g[d.a] = static_cast<std::uint32_t>(r);
-      break;
-    }
-    case Op::kF2i: {
-      const double v = f.pop();
-      // x86 CVTTSD2SI semantics: out-of-range / NaN -> integer indefinite.
-      std::int32_t r;
-      if (v != v || v >= 2147483648.0 || v < -2147483648.0)
-        r = std::numeric_limits<std::int32_t>::min();
-      else
-        r = static_cast<std::int32_t>(v);
-      g[d.a] = static_cast<std::uint32_t>(r);
-      break;
-    }
-    case Op::kI2f:
-      f.push(static_cast<double>(static_cast<std::int32_t>(g[d.a])));
-      break;
-    case Op::kFpop:
-      f.pop();
-      break;
+  switch (decode(op.raw).op) {
+#define OP(name, code, mnem, format, flow, use, def, fp_needs, fp_delta, \
+           frame_delta, access, width, ...)                              \
+  case Op::k##name: {                                                    \
+    __VA_ARGS__                                                          \
   }
-
-  regs_.pc = next_pc;
-  return true;
+#include "svm/ops.def"
+  }
+#undef SYSCALL
+#undef NEXT_DYN
+#undef NEXT_TO
+#undef NEXT_SEQ
+#undef FAIL
+#undef MEM
+  return false;  // unreachable: every valid opcode has a row
 }
 
 }  // namespace fsim::svm

@@ -30,37 +30,34 @@ void InstructionMixProfiler::on_fetch(svm::Addr addr) {
 
 namespace {
 
-bool in_range(std::uint8_t op, Op lo, Op hi) {
-  return op >= static_cast<std::uint8_t>(lo) &&
-         op <= static_cast<std::uint8_t>(hi);
+/// Share of `total` fetches whose opcode's table row satisfies `pred`.
+template <typename Pred>
+double fraction_where(const std::array<std::uint64_t, 256>& counts,
+                      std::uint64_t total, Pred pred) {
+  std::uint64_t n = 0;
+  for (unsigned op = 0; op < 256; ++op)
+    if (pred(svm::op_info(static_cast<Op>(op)))) n += counts[op];
+  return total ? static_cast<double>(n) / static_cast<double>(total) : 0;
 }
 
 }  // namespace
 
 double InstructionMixProfiler::fpu_fraction() const {
-  std::uint64_t n = 0;
-  for (unsigned op = 0; op < 256; ++op)
-    if (in_range(static_cast<std::uint8_t>(op), Op::kFld, Op::kFpop))
-      n += opcounts_[op];
-  return total_ ? static_cast<double>(n) / static_cast<double>(total_) : 0;
+  return fraction_where(opcounts_, total_,
+                        [](const svm::OpInfo& op) { return op.fpu(); });
 }
 
 double InstructionMixProfiler::memory_fraction() const {
-  std::uint64_t n = 0;
-  for (Op op : {Op::kLdw, Op::kStw, Op::kLdb, Op::kStb, Op::kPush, Op::kPop,
-                Op::kFld, Op::kFst, Op::kFstnp}) {
-    n += opcounts_[static_cast<std::uint8_t>(op)];
-  }
-  return total_ ? static_cast<double>(n) / static_cast<double>(total_) : 0;
+  return fraction_where(opcounts_, total_, [](const svm::OpInfo& op) {
+    return op.access != svm::Access::kNone;
+  });
 }
 
 double InstructionMixProfiler::control_fraction() const {
-  std::uint64_t n = 0;
-  for (Op op : {Op::kBeq, Op::kBne, Op::kBlt, Op::kBge, Op::kBltu, Op::kBgeu,
-                Op::kJmp, Op::kJmpr, Op::kCall, Op::kCallr, Op::kRet}) {
-    n += opcounts_[static_cast<std::uint8_t>(op)];
-  }
-  return total_ ? static_cast<double>(n) / static_cast<double>(total_) : 0;
+  return fraction_where(opcounts_, total_, [](const svm::OpInfo& op) {
+    return op.flow != svm::FlowKind::kFallthrough &&
+           op.flow != svm::FlowKind::kSys && op.flow != svm::FlowKind::kIllegal;
+  });
 }
 
 std::vector<InstructionMixProfiler::HotSymbol>

@@ -33,10 +33,10 @@ class InstructionMixProfiler : public svm::AccessObserver {
     return opcounts_;
   }
 
-  /// Fraction of executed instructions in a category.
-  double fpu_fraction() const;     // kFld..kFpop
-  double memory_fraction() const;  // loads/stores/push/pop + FPU mem ops
-  double control_fraction() const; // branches/jumps/calls/rets
+  /// Fraction of executed instructions in a category of the opcode table.
+  double fpu_fraction() const;      // FP-stack ops
+  double memory_fraction() const;   // data loads/stores, incl. push/pop
+  double control_fraction() const;  // branches/jumps/calls/rets
 
   struct HotSymbol {
     std::string name;

@@ -16,7 +16,8 @@
 # batch-throughput bench (which itself exits nonzero on digest divergence
 # between modes or engines) — optionally repeating the whole cycle under
 # AddressSanitizer. Without --asan, a focused ASan pass still builds the
-# CLI and drives the heap/stack scans (analyze + lint) on every app.
+# CLI and drives the heap/stack scans (analyze + lint) on every app, and
+# builds svm_tests to run the op-table specs and the engine diff.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -128,17 +129,23 @@ else
   # builder are the pointer-heaviest analyses in the tree; drive them (via
   # analyze/lint, which construct both on every app) under
   # AddressSanitizer even when the full --asan cycle was not requested.
-  echo "=== ci: ASan heap/stack scan gate ==="
+  # The op bodies both engines expand from svm/ops.def run there too: the
+  # per-op spec, the ISA round trips and the lockstep engine diff.
+  echo "=== ci: ASan heap/stack scan + op table gate ==="
   scan_dir="$build-scan-asan"
   cmake -B "$scan_dir" -S "$root" -DFSIM_WERROR=ON \
         -DFSIM_SANITIZE=address > /dev/null
-  cmake --build "$scan_dir" -j "$jobs" --target fsim_cli > /dev/null
+  cmake --build "$scan_dir" -j "$jobs" --target fsim_cli svm_tests \
+        > /dev/null
   for app in wavetoy minimd atmo jacobi; do
     "$scan_dir/src/tools/fsim" analyze --app="$app" --runs=0 --quiet \
       > /dev/null
   done
   "$scan_dir/src/tools/fsim" lint --app=all > /dev/null
   echo "  analyze+lint clean under AddressSanitizer"
+  "$scan_dir/tests/svm_tests" \
+    --gtest_filter='Ops*:Isa*:*DisasmRoundTrip*:*EngineDiff*' > /dev/null
+  echo "  op table specs and engine diff clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

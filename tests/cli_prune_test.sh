@@ -3,7 +3,8 @@
 # rejected with a message listing the valid values, and a valid level must
 # attach the static analysis and report the activation verdict. Guards the
 # single-run entry point into the precision ladder (campaign/batch have
-# their own digest gates).
+# their own digest gates). The --engine flag's unknown spellings, including
+# the retired `interpreter` alias, are rejected the same way.
 #
 #   tests/cli_prune_test.sh <path-to-fsim>
 set -euo pipefail
@@ -22,6 +23,21 @@ case "$err" in
      exit 1 ;;
 esac
 echo "  --prune=bogus rejected: $err"
+
+# --engine accepts exactly interp|threaded.
+for bad in interpreter bogus; do
+  if err="$("$fsim" run --app=wavetoy --region=heap --seed=5 \
+              --engine="$bad" 2>&1)"; then
+    echo "cli_prune: --engine=$bad unexpectedly succeeded" >&2
+    exit 1
+  fi
+  case "$err" in
+    *"interp|threaded"*) ;;
+    *) echo "cli_prune: error does not list valid engines: $err" >&2
+       exit 1 ;;
+  esac
+  echo "  --engine=$bad rejected: $err"
+done
 
 # Valid level: run succeeds and reports the static activation verdict.
 out="$("$fsim" run --app=wavetoy --region=heap --seed=5 --prune=full)"

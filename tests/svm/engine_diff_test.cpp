@@ -19,6 +19,14 @@
 // Each app runs under several quantum configurations, including randomized
 // (but seed-stable) quantum sizes and jitter, so quantum boundaries land at
 // arbitrary points of the instruction stream.
+//
+// Both engines expand the same op bodies from svm/ops.def, so this test
+// cannot catch a wrong body (tests/svm/ops_test.cpp pins those). What it
+// checks is everything around the bodies: dispatch (the dense table, guard
+// slots, precomputed branch targets and the slow-path fallback), quantum
+// accounting, the flushes of the threaded engine's locals at every exit,
+// and the threaded engine's FastMem segment snapshot against the
+// interpreter's Memory accesses.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "svm/assembler.hpp"
 
@@ -72,7 +75,8 @@ TEST(Isa, RegisterAliases) {
 // ---------------------------------------------------------------------------
 // Round-trip property: assemble(disassemble(word, pc)) == word for every
 // defined instruction form. This pins the textual syntax and the binary
-// encoding to each other.
+// encoding to each other. AllForms is a hand-picked word per form;
+// EveryOpcode covers every defined opcode byte.
 // ---------------------------------------------------------------------------
 
 std::uint32_t reassemble(const std::string& line) {
@@ -118,6 +122,106 @@ INSTANTIATE_TEST_SUITE_P(
         encode(Op::kFxch, 0, 0, 3), encode(Op::kFdup, 0, 0, 7),
         encode(Op::kFcmp, 6), encode(Op::kF2i, 7), encode(Op::kI2f, 8),
         encode(Op::kFpop)));
+
+// Every defined opcode byte, in the canonical form its disassembly
+// reassembles to when every operand field of the word is populated (a=3,
+// b=5, imm=0xfff8: c=8, and the immediate is negative when read signed).
+std::vector<std::uint32_t> every_opcode() {
+  std::vector<std::uint32_t> words;
+  for (unsigned byte = 0; byte < 256; ++byte) {
+    if (!is_valid_opcode(static_cast<std::uint8_t>(byte))) continue;
+    const std::uint32_t dirty = encode(static_cast<Op>(byte), 3, 5, 0xfff8);
+    words.push_back(reassemble(disassemble(dirty, kTextBase)));
+  }
+  return words;
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryOpcode, DisasmRoundTrip,
+                         ::testing::ValuesIn(every_opcode()));
+
+// The disassembly of that populated word for every opcode byte: pins each
+// op's operand format, including which immediates print zero-extended.
+TEST(Isa, DisassemblyOfEveryOpcode) {
+  const std::map<unsigned, std::string> want = {
+      {0x01, "nop"},
+      {0x02, "mov r3, r5"},
+      {0x03, "ldi r3, -8"},
+      {0x04, "lui r3, 65528"},
+      {0x05, "add r3, r5, r8"},
+      {0x06, "sub r3, r5, r8"},
+      {0x07, "mul r3, r5, r8"},
+      {0x08, "divs r3, r5, r8"},
+      {0x09, "rems r3, r5, r8"},
+      {0x0a, "and r3, r5, r8"},
+      {0x0b, "or r3, r5, r8"},
+      {0x0c, "xor r3, r5, r8"},
+      {0x0d, "shl r3, r5, r8"},
+      {0x0e, "shr r3, r5, r8"},
+      {0x0f, "sra r3, r5, r8"},
+      {0x10, "addi r3, r5, -8"},
+      {0x11, "muli r3, r5, -8"},
+      {0x12, "andi r3, r5, 65528"},
+      {0x13, "ori r3, r5, 65528"},
+      {0x14, "xori r3, r5, 65528"},
+      {0x15, "shli r3, r5, -8"},
+      {0x16, "shri r3, r5, -8"},
+      {0x17, "srai r3, r5, -8"},
+      {0x18, "slt r3, r5, r8"},
+      {0x19, "sltu r3, r5, r8"},
+      {0x1a, "ldw r3, [r5-8]"},
+      {0x1b, "stw [r5-8], r3"},
+      {0x1c, "ldb r3, [r5-8]"},
+      {0x1d, "stb [r5-8], r3"},
+      {0x1e, "push r3"},
+      {0x1f, "pop r3"},
+      {0x20, "beq r3, r5, 134512612"},
+      {0x21, "bne r3, r5, 134512612"},
+      {0x22, "blt r3, r5, 134512612"},
+      {0x23, "bge r3, r5, 134512612"},
+      {0x24, "bltu r3, r5, 134512612"},
+      {0x25, "bgeu r3, r5, 134512612"},
+      {0x26, "jmp 134512612"},
+      {0x27, "jmpr r3"},
+      {0x28, "call 134512612"},
+      {0x29, "callr r3"},
+      {0x2a, "ret"},
+      {0x2b, "enter 65528"},
+      {0x2c, "leave"},
+      {0x2d, "sys 65528"},
+      {0x30, "fld [r5-8]"},
+      {0x31, "fst [r5-8]"},
+      {0x32, "fstnp [r5-8]"},
+      {0x33, "fldz"},
+      {0x34, "fld1"},
+      {0x35, "faddp"},
+      {0x36, "fsubp"},
+      {0x37, "fmulp"},
+      {0x38, "fdivp"},
+      {0x39, "fchs"},
+      {0x3a, "fabs"},
+      {0x3b, "fsqrt"},
+      {0x3c, "fsin"},
+      {0x3d, "fcos"},
+      {0x3e, "fxch 65528"},
+      {0x3f, "fdup 65528"},
+      {0x40, "fcmp r3"},
+      {0x41, "f2i r3"},
+      {0x42, "i2f r3"},
+      {0x43, "fpop"},
+  };
+  for (unsigned byte = 0; byte < 256; ++byte) {
+    if (!is_valid_opcode(static_cast<std::uint8_t>(byte))) continue;
+    const auto it = want.find(byte);
+    ASSERT_NE(it, want.end()) << "opcode " << byte;
+    EXPECT_EQ(disassemble(encode(static_cast<Op>(byte), 3, 5, 0xfff8),
+                          kTextBase),
+              it->second);
+  }
+  std::size_t valid = 0;
+  for (unsigned byte = 0; byte < 256; ++byte)
+    valid += is_valid_opcode(static_cast<std::uint8_t>(byte));
+  EXPECT_EQ(valid, want.size());
+}
 
 }  // namespace
 }  // namespace fsim::svm
