@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   util::Rng drng(util::hash_seed({args.seed, 0xcfc}));
   core::FaultDictionary dict(program, core::Region::kText, drng);
   // One pre-generated signature table, shared read-only by every rank's
-  // checker across all runs (static mode: no decode on the fetch path).
+  // checker across all runs (no decode on the fetch path).
   const core::CfcSignatures sigs(program);
 
   int manifested = 0, manifested_flagged = 0;

@@ -1,13 +1,13 @@
-// Pre-injection pruning speedup: injected runs per second at --prune=off,
-// --prune=regs and --prune=full on a wavetoy campaign covering every region
-// the static analysis can prune (registers, FP stack, text, data, BSS,
-// stack frames, heap chunks),
-// emitted as JSON. Pruning classifies statically dead flips Correct without
-// resuming the run, so all three configurations must produce bit-identical
-// aggregates; the JSON records a digest over every prune-invariant field
-// (executions, skipped, manifestation counts, crash kinds, activation
-// split) plus per-region pruned fractions, so regressions in speed,
-// equivalence or analysis coverage are all visible from the same artifact.
+// Pre-injection pruning speedup: injected runs per second at --prune=off
+// and --prune=full on a wavetoy campaign covering every region the static
+// analysis can prune (registers, FP stack, text, data, BSS, stack frames,
+// heap chunks), emitted as JSON. Pruning classifies statically dead flips
+// Correct without resuming the run, so both configurations must produce
+// bit-identical aggregates; the JSON records a digest over every
+// prune-invariant field (executions, skipped, manifestation counts, crash
+// kinds, activation split) plus per-region pruned fractions, so
+// regressions in speed, equivalence or analysis coverage are all visible
+// from the same artifact.
 //
 //   bench_prune_speedup [--runs=N] [--seed=S] [--jobs=N]
 #include <array>
@@ -143,15 +143,13 @@ int main(int argc, char** argv) {
 
   const apps::App app = small_wavetoy();
   std::fprintf(stderr,
-               "prune speedup: %d runs x %zu regions, prune off|regs|full\n",
+               "prune speedup: %d runs x %zu regions, prune off|full\n",
                args.runs, kRegions.size());
   constexpr int kRepeats = 3;
   const Measured off = measure(app, args, core::PruneLevel::kOff, kRepeats);
-  const Measured regs = measure(app, args, core::PruneLevel::kRegs, kRepeats);
   const Measured full = measure(app, args, core::PruneLevel::kFull, kRepeats);
 
-  const bool identical =
-      off.digest == regs.digest && off.digest == full.digest;
+  const bool identical = off.digest == full.digest;
   // Full pruning must actually reach past the integer registers: the FP
   // stack (index 1 in kRegions) and text (index 2) both prune runs, and
   // every rung of the precision ladder must have decided at least one run
@@ -174,11 +172,7 @@ int main(int argc, char** argv) {
   w.key("runs_per_region").value(args.runs);
   w.key("seed").value(args.seed);
   write_level(w, args, off);
-  write_level(w, args, regs);
   write_level(w, args, full);
-  w.key("speedup_regs").value(off.seconds > 0 && regs.seconds > 0
-                                  ? off.seconds / regs.seconds
-                                  : 0.0);
   w.key("speedup_full").value(off.seconds > 0 && full.seconds > 0
                                   ? off.seconds / full.seconds
                                   : 0.0);

@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
   std::printf("app: %s (%d ranks, %zu bytes of assembly)\n", app.name.c_str(),
               app.world.nranks, app.user_asm.size());
 
-  // 2. Fault-free reference execution.
-  core::Golden golden = core::run_golden(app);
+  // 2. Link the image once, then run it fault-free for the reference.
+  const svm::Program program = app.link();
+  core::Golden golden = core::run_golden(app, program);
   std::printf("golden run: %llu instructions, %zu baseline bytes\n",
               static_cast<unsigned long long>(golden.instructions),
               golden.baseline.size());
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   // 3. One injected run: a single bit flip in a random integer register of
   //    a random rank at a random instant.
   core::RunOutcome out =
-      core::run_injected(app, golden, core::Region::kRegularReg,
+      core::run_injected(app, program, golden, core::Region::kRegularReg,
                          /*dictionary=*/nullptr, seed);
 
   std::printf("fault:   %s\n", out.fault_description.c_str());

@@ -22,6 +22,16 @@ const char* stop_token(CellStop stop) {
   return "open";
 }
 
+/// Waves a cell needed to reach `scheduled`: every wave extends the
+/// frontier by `wave` grid points (clipped at the cap), so this is a pure
+/// function of the frontier — identical across kill/resume replays, which
+/// re-run the partial wave without re-counting it.
+int waves_of(int scheduled, int wave) {
+  return (scheduled + wave - 1) / wave;
+}
+
+}  // namespace
+
 void validate_policy(const AdaptivePolicy& p) {
   if (p.ci <= 0.0 || p.ci >= 1.0)
     throw util::SetupError("adaptive: --ci must be in (0, 1)");
@@ -33,24 +43,8 @@ void validate_policy(const AdaptivePolicy& p) {
     throw util::SetupError("adaptive: min_runs must be >= 1");
 }
 
-/// Waves a cell needed to reach `scheduled`: every wave extends the
-/// frontier by `wave` grid points (clipped at the cap), so this is a pure
-/// function of the frontier — identical across kill/resume replays, which
-/// re-run the partial wave without re-counting it.
-int waves_of(int scheduled, int wave) {
-  return (scheduled + wave - 1) / wave;
-}
-
-}  // namespace
-
 AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
                             const AdaptiveConfig& config) {
-  if (config.shard.count < 1 || config.shard.index < 0 ||
-      config.shard.index >= config.shard.count) {
-    throw util::SetupError("invalid shard " +
-                           std::to_string(config.shard.index) + "/" +
-                           std::to_string(config.shard.count));
-  }
   validate_policy(config.policy);
   if (config.selection)
     throw util::SetupError(
@@ -58,7 +52,11 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
         "data-dependent)");
   const AdaptivePolicy& policy = config.policy;
 
-  BatchSession session(entries, config.jobs);
+  BatchStart start = start_batch(entries, config, &policy);
+  BatchSession& session = *start.session;
+  CheckpointSink* sink = start.sink.get();
+  const BatchSession::Notify& notify = start.notify;
+  const Checkpoint* resume = config.resume;
   const std::size_t ncamp = entries.size();
   const std::size_t nslots = session.slots();
 
@@ -81,41 +79,6 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
     }
   }
 
-  // Resume baseline: same identity checks as run_batch, plus the document
-  // must actually be an adaptive checkpoint (its frontiers are the wave
-  // state we replay from). The *policy* is taken from config — callers
-  // reuse the recorded one unless the user explicitly overrides it.
-  const Checkpoint* resume = config.resume;
-  if (resume) {
-    if (!resume->adaptive)
-      throw util::SetupError(
-          "resume: checkpoint belongs to a fixed-n campaign, not an "
-          "adaptive (--ci) one");
-    if (!(resume->shard == config.shard))
-      throw util::SetupError(
-          "resume: checkpoint covers shard " +
-          std::to_string(resume->shard.index) + "/" +
-          std::to_string(resume->shard.count) + ", batch runs shard " +
-          std::to_string(config.shard.index) + "/" +
-          std::to_string(config.shard.count));
-    if (resume->specs != result.batch.specs)
-      throw util::SetupError(
-          "resume: checkpoint was produced by a different batch spec "
-          "(apps, app params, runs, seeds, regions, dictionary sizes and "
-          "prune levels must all match)");
-    if (resume->slots.size() != nslots || resume->goldens.size() != ncamp)
-      throw util::SetupError("resume: checkpoint slot layout is corrupted");
-    for (std::size_t c = 0; c < ncamp; ++c) {
-      const Golden& g = session.campaigns()[c].golden;
-      if (resume->goldens[c].instructions != g.instructions ||
-          resume->goldens[c].hang_budget != g.hang_budget)
-        throw util::SetupError(
-            "resume: golden run for campaign '" + entries[c].app.name +
-            "' disagrees with the checkpoint (the app or its config "
-            "changed since the checkpoint was written)");
-    }
-  }
-
   // Cell state. The resume baseline's counts fold in *up front* (unlike
   // run_batch, which folds at the end): stopping decisions must see the
   // cumulative per-cell counts, and integer sums commute either way.
@@ -134,36 +97,6 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
       cells[s].scheduled = resume->slots[s].frontier;
       frontier[s] = cells[s].scheduled;
     }
-  }
-
-  // Checkpoint sink, seeded with the policy: adaptive sidecars record the
-  // stopping rule and each cell's frontier alongside the usual state.
-  std::unique_ptr<CheckpointSink> sink;
-  if (!config.checkpoint_path.empty()) {
-    std::vector<Golden> goldens;
-    for (std::size_t c = 0; c < ncamp; ++c)
-      goldens.push_back(session.campaigns()[c].golden);
-    Checkpoint initial =
-        resume ? *resume
-               : make_checkpoint(result.batch.specs, std::move(goldens),
-                                 config.shard);
-    initial.adaptive = policy;  // an override replaces the recorded policy
-    sink = std::make_unique<CheckpointSink>(config.checkpoint_path,
-                                            config.checkpoint_every,
-                                            std::move(initial),
-                                            config.observer,
-                                            config.checkpoint_encoding);
-  }
-
-  // Per-run fan-in (serialized by the session). on_region_done is *not*
-  // derived from done == total here — a cell is only finished when its
-  // interval says so; the wave loop below fires it at stop time.
-  BatchSession::Notify notify;
-  if (config.observer || sink) {
-    notify = [&config, &sink](const RunEvent& ev) {
-      if (config.observer) config.observer->on_run_done(ev);
-      if (sink) sink->on_run_done(ev);
-    };
   }
 
   // Catch-up: finish the partial frontier wave of a resumed campaign.

@@ -348,46 +348,49 @@ std::vector<CampaignResult> BatchSession::attach_regions(
   return out;
 }
 
-BatchResult run_batch(const std::vector<BatchEntry>& entries,
-                      const BatchConfig& config) {
-  if (config.shard.count < 1 || config.shard.index < 0 ||
-      config.shard.index >= config.shard.count) {
+BatchStart start_batch(const std::vector<BatchEntry>& entries,
+                       const ExecPolicy& exec,
+                       const AdaptivePolicy* adaptive) {
+  if (exec.shard.count < 1 || exec.shard.index < 0 ||
+      exec.shard.index >= exec.shard.count) {
     throw util::SetupError("invalid shard " +
-                           std::to_string(config.shard.index) + "/" +
-                           std::to_string(config.shard.count));
+                           std::to_string(exec.shard.index) + "/" +
+                           std::to_string(exec.shard.count));
   }
 
-  BatchSession session(entries, config.jobs);
+  BatchStart start;
+  start.session = std::make_unique<BatchSession>(entries, exec.jobs);
+  const BatchSession& session = *start.session;
   const std::size_t ncamp = entries.size();
-  const std::size_t nslots = session.slots();
-
-  BatchResult result;
-  result.shard = config.shard;
-  result.specs = session.specs();
 
   // Resume baseline: the checkpoint must identify exactly this batch —
-  // same shard, same spec list (apps, params, runs, seeds, regions,
-  // dictionaries, prune) and the same golden executions. Any drift would
-  // silently mix counts from different fault spaces, so it is refused.
-  const Checkpoint* resume = config.resume;
-  if (resume) {
-    if (!(resume->shard == config.shard))
+  // same kind (fixed-n or adaptive), same shard, same spec list (apps,
+  // params, runs, seeds, regions, dictionaries, prune) and the same golden
+  // executions. Any drift would silently mix counts from different fault
+  // spaces, so it is refused. An adaptive resume takes its *policy* from
+  // the caller, who reuses the recorded one unless the user overrides it.
+  if (const Checkpoint* resume = exec.resume) {
+    if (adaptive && !resume->adaptive)
+      throw util::SetupError(
+          "resume: checkpoint belongs to a fixed-n campaign, not an "
+          "adaptive (--ci) one");
+    if (!(resume->shard == exec.shard))
       throw util::SetupError(
           "resume: checkpoint covers shard " +
           std::to_string(resume->shard.index) + "/" +
           std::to_string(resume->shard.count) + ", batch runs shard " +
-          std::to_string(config.shard.index) + "/" +
-          std::to_string(config.shard.count));
-    if (resume->adaptive)
+          std::to_string(exec.shard.index) + "/" +
+          std::to_string(exec.shard.count));
+    if (!adaptive && resume->adaptive)
       throw util::SetupError(
           "resume: checkpoint belongs to an adaptive (--ci) campaign; "
           "resume it through the adaptive scheduler");
-    if (resume->specs != result.specs)
+    if (resume->specs != session.specs())
       throw util::SetupError(
           "resume: checkpoint was produced by a different batch spec "
           "(apps, app params, runs, seeds, regions, dictionary sizes and "
           "prune levels must all match)");
-    if (resume->slots.size() != nslots ||
+    if (resume->slots.size() != session.slots() ||
         resume->goldens.size() != ncamp)
       throw util::SetupError("resume: checkpoint slot layout is corrupted");
     for (std::size_t c = 0; c < ncamp; ++c) {
@@ -400,6 +403,58 @@ BatchResult run_batch(const std::vector<BatchEntry>& entries,
             "changed since the checkpoint was written)");
     }
   }
+
+  // Checkpoint sink: an internal observer fed through the same serialized
+  // dispatch as the caller's hooks. Seeded from the resume baseline so the
+  // sidecar file always covers the union of old and new grid points;
+  // adaptive sidecars also record the stopping rule (an override replaces
+  // the recorded policy) and, via update_cell, each cell's frontier.
+  if (!exec.checkpoint_path.empty()) {
+    std::vector<Golden> goldens;
+    for (std::size_t c = 0; c < ncamp; ++c)
+      goldens.push_back(session.campaigns()[c].golden);
+    Checkpoint initial =
+        exec.resume ? *exec.resume
+                    : make_checkpoint(session.specs(), std::move(goldens),
+                                      exec.shard);
+    if (adaptive) initial.adaptive = *adaptive;
+    start.sink = std::make_unique<CheckpointSink>(
+        exec.checkpoint_path, exec.checkpoint_every, std::move(initial),
+        exec.observer, exec.checkpoint_encoding);
+  }
+
+  // Observer fan-in: caller observer, then checkpoint sink — the session
+  // serializes the whole callback under one mutex, at any job count. An
+  // adaptive cell is finished only when its interval says so, so there
+  // on_region_done is not derived from done == total: the wave loop fires
+  // it at stop time.
+  CampaignObserver* observer = exec.observer;
+  CheckpointSink* sink = start.sink.get();
+  if (observer || sink) {
+    const bool region_done = adaptive == nullptr;
+    start.notify = [observer, sink, region_done](const RunEvent& ev) {
+      if (observer) {
+        observer->on_run_done(ev);
+        if (region_done && ev.done == ev.total)
+          observer->on_region_done(ev.campaign, *ev.app, ev.region, ev.done);
+      }
+      if (sink) sink->on_run_done(ev);
+    };
+  }
+  return start;
+}
+
+BatchResult run_batch(const std::vector<BatchEntry>& entries,
+                      const BatchConfig& config) {
+  BatchStart start = start_batch(entries, config, nullptr);
+  BatchSession& session = *start.session;
+  const Checkpoint* resume = config.resume;
+  const std::size_t ncamp = entries.size();
+  const std::size_t nslots = session.slots();
+
+  BatchResult result;
+  result.shard = config.shard;
+  result.specs = session.specs();
 
   // Explicit grid selection (service workers): restrict the invocation to
   // the selected run indices. Progress denominators then cover only the
@@ -440,42 +495,8 @@ BatchResult run_batch(const std::vector<BatchEntry>& entries,
     for (std::size_t s = 0; s < nslots; ++s)
       done[s] = resume->slots[s].counts.executions;
 
-  // Checkpoint sink: an internal observer fed through the same serialized
-  // dispatch as the caller's hooks. Seeded from the resume baseline so the
-  // sidecar file always covers the union of old and new grid points.
-  std::unique_ptr<CheckpointSink> sink;
-  if (!config.checkpoint_path.empty()) {
-    std::vector<Golden> goldens;
-    for (std::size_t c = 0; c < ncamp; ++c)
-      goldens.push_back(session.campaigns()[c].golden);
-    Checkpoint initial =
-        resume ? *resume
-               : make_checkpoint(result.specs, std::move(goldens),
-                                 config.shard);
-    sink = std::make_unique<CheckpointSink>(config.checkpoint_path,
-                                            config.checkpoint_every,
-                                            std::move(initial),
-                                            config.observer,
-                                            config.checkpoint_encoding);
-  }
-
-  // Observer fan-in: caller observer, then checkpoint sink — the session
-  // serializes the whole callback under one mutex, at any job count.
-  BatchSession::Notify notify;
-  if (config.observer || sink) {
-    notify = [&config, &sink](const RunEvent& ev) {
-      if (config.observer) {
-        config.observer->on_run_done(ev);
-        if (ev.done == ev.total)
-          config.observer->on_region_done(ev.campaign, *ev.app, ev.region,
-                                          ev.done);
-      }
-      if (sink) sink->on_run_done(ev);
-    };
-  }
-
   std::vector<RegionResult> totals(nslots);
-  session.run_points(points, totals, done, owned, notify);
+  session.run_points(points, totals, done, owned, start.notify);
 
   // Fold the checkpoint baseline back in: the resumed grid points ran in
   // the interrupted invocation, the rest just ran here, and every field is
@@ -486,7 +507,7 @@ BatchResult run_batch(const std::vector<BatchEntry>& entries,
 
   // Leave a final (complete) checkpoint behind: `fsim merge` accepts it in
   // place of the shard result, and resuming it is a no-op.
-  if (sink) sink->flush();
+  if (start.sink) start.sink->flush();
 
   result.campaigns = session.attach_regions(totals);
   return result;

@@ -16,7 +16,8 @@
 
 namespace fsim::core {
 
-struct Checkpoint;  // core/checkpoint.hpp
+struct Checkpoint;      // core/checkpoint.hpp
+class CheckpointSink;   // core/checkpoint.hpp
 struct RegionResult;
 
 /// Event describing one completed injected run inside a batch. `done` and
@@ -71,12 +72,10 @@ struct CampaignConfig : ExecPolicy {
   };
   std::size_t dictionary_entries = 4096;
   /// Pre-injection pruning level: classify faults whose target is
-  /// statically dead as Correct without resuming the run. Sound at every
-  /// level (the flip is provably never observed), so aggregates are
-  /// bit-identical across levels; higher levels merely skip the simulation
-  /// of more runs whose outcome is already decided. kRegs restricts the
-  /// proof to integer registers (the PR-2 scope); kFull adds provably
-  /// empty FP-stack slots, unreachable text and dead data/BSS symbols.
+  /// statically dead as Correct without resuming the run. Sound (the flip
+  /// is provably never observed), so aggregates are bit-identical at kOff
+  /// and kFull; kFull merely skips the simulation of runs whose outcome is
+  /// already decided.
   PruneLevel prune = PruneLevel::kFull;
   /// Execution engine for every run (golden and injected). Both engines
   /// are bit-identical at quantum boundaries, so aggregates never depend
@@ -201,6 +200,11 @@ struct AdaptivePolicy {
   bool operator==(const AdaptivePolicy&) const = default;
 };
 
+/// The one range check of a stopping policy, applied by run_adaptive and
+/// by both checkpoint decoders: ci and alpha in (0, 1), wave and min_runs
+/// >= 1. Throws SetupError naming the first field out of range.
+void validate_policy(const AdaptivePolicy& policy);
+
 /// One campaign in a batch. The entry's config supplies runs/seed/regions/
 /// dictionary_entries/prune/engine; its inherited ExecPolicy is ignored —
 /// the batch-level policy drives execution.
@@ -292,6 +296,26 @@ class BatchSession {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Start-up shared by run_batch and run_adaptive.
+struct BatchStart {
+  std::unique_ptr<BatchSession> session;
+  /// Set iff ExecPolicy::checkpoint_path is; seeded from the resume
+  /// baseline (or an empty checkpoint).
+  std::unique_ptr<CheckpointSink> sink;
+  /// Caller observer, then sink; empty when there is neither.
+  BatchSession::Notify notify;
+};
+
+/// Validate the shard, prepare the session, refuse a resume checkpoint
+/// that does not identify exactly this batch (kind, shard, specs, slot
+/// layout, golden runs), and wire the checkpoint sink and the observer
+/// fan-in. `adaptive` is the stopping policy of an adaptive campaign and
+/// null for a fixed-n one: it picks the checkpoint kind a resume must be,
+/// is recorded in the sidecar, and turns off the done == total
+/// on_region_done (the wave loop fires it when a cell stops).
+BatchStart start_batch(const std::vector<BatchEntry>& entries,
+                       const ExecPolicy& exec, const AdaptivePolicy* adaptive);
 
 /// Run every campaign through one shared pool. Throws SetupError on an
 /// invalid shard (count < 1 or index outside [0, count)).

@@ -338,6 +338,27 @@ std::string checkpoint_blob(const Checkpoint& ck) {
   return w.take();
 }
 
+/// Checks both decoders apply to an adaptive checkpoint: the recorded
+/// policy is one run_adaptive would accept, and every completed run lies
+/// inside its cell's wave frontier (resuming otherwise would re-run grid
+/// points that are already counted).
+void check_policy(const AdaptivePolicy& policy) {
+  try {
+    validate_policy(policy);
+  } catch (const util::SetupError& e) {
+    throw util::SetupError(
+        std::string("checkpoint: malformed adaptive policy (") + e.what() +
+        ")");
+  }
+}
+
+void check_frontier(const CheckpointSlot& cs) {
+  if (cs.frontier < 0 ||
+      (!cs.done.empty() && cs.done.ranges().back().second >= cs.frontier))
+    throw util::SetupError(
+        "checkpoint: completed runs outside the cell's wave frontier");
+}
+
 Region decode_region(std::uint64_t v) {
   if (v >= kNumRegions)
     throw util::SetupError("checkpoint: blob names an unknown region");
@@ -359,6 +380,7 @@ Checkpoint parse_checkpoint_blob(const std::string& blob,
     policy.alpha = r.f64();
     policy.wave = static_cast<int>(r.u64());
     policy.min_runs = static_cast<int>(r.u64());
+    check_policy(policy);
     ck.adaptive = policy;
   }
   const std::uint64_t nspecs = r.u64();
@@ -372,7 +394,8 @@ Checkpoint parse_checkpoint_blob(const std::string& blob,
       spec.regions.push_back(decode_region(r.u64()));
     spec.dictionary_entries = static_cast<std::size_t>(r.u64());
     const std::uint64_t prune = r.u64();
-    if (prune > static_cast<std::uint64_t>(PruneLevel::kFull))
+    if (prune != static_cast<std::uint64_t>(PruneLevel::kOff) &&
+        prune != static_cast<std::uint64_t>(PruneLevel::kFull))
       throw util::SetupError("checkpoint: blob names an unknown prune level");
     spec.prune = static_cast<PruneLevel>(prune);
     spec.params.ranks = static_cast<int>(r.u64());
@@ -410,6 +433,7 @@ Checkpoint parse_checkpoint_blob(const std::string& blob,
     if (ck.adaptive) {
       cs.frontier = static_cast<int>(r.u64());
       cs.stopped = r.u64() != 0;
+      check_frontier(cs);
     }
     if (cs.counts.executions != cs.done.size())
       throw util::SetupError(
@@ -457,9 +481,7 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
     policy.alpha = av->at("alpha").as_double();
     policy.wave = static_cast<int>(av->at("wave").as_int());
     policy.min_runs = static_cast<int>(av->at("min_runs").as_int());
-    if (policy.ci <= 0.0 || policy.ci >= 1.0 || policy.alpha <= 0.0 ||
-        policy.alpha >= 1.0 || policy.wave < 1 || policy.min_runs < 1)
-      throw util::SetupError("checkpoint: malformed adaptive policy");
+    check_policy(policy);
     ck.adaptive = policy;
   }
   for (const auto& cv : doc.at("campaigns").items()) {
@@ -506,11 +528,7 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
     if (ck.adaptive) {
       cs.frontier = static_cast<int>(sv.at("frontier").as_int());
       cs.stopped = sv.at("stopped").as_bool();
-      if (cs.frontier < 0 ||
-          (!cs.done.empty() &&
-           cs.done.ranges().back().second >= cs.frontier))
-        throw util::SetupError(
-            "checkpoint: completed runs outside the cell's wave frontier");
+      check_frontier(cs);
     }
     if (sv.at("digest").as_u64() !=
         slot_record_digest(campaign, cs, ck.adaptive.has_value()))

@@ -1,12 +1,10 @@
 // Shared execution policy for every campaign driver.
 //
-// run_campaign, run_batch, run_adaptive and the service scheduler all used
-// to carry their own copies of the jobs/shard/observer/checkpoint knobs;
-// ExecPolicy is the one struct they now share. CampaignConfig, BatchConfig
-// and AdaptiveConfig derive from it, so the historical field spellings
-// (`config.jobs`, `config.shard`, ...) keep compiling as thin delegating
-// accessors for one release while new code passes the policy around as a
-// unit (`config.exec()`).
+// run_campaign, run_batch, run_adaptive and the service scheduler share
+// one struct for the jobs/shard/observer/checkpoint knobs. CampaignConfig,
+// BatchConfig and AdaptiveConfig derive from it, so its fields read
+// directly off any config (`config.jobs`, `config.shard`, ...), and
+// `config.exec()` passes the policy around as a unit.
 #pragma once
 
 #include <cstdint>

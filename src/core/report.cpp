@@ -45,13 +45,8 @@ void write_campaign(util::JsonWriter& w, const CampaignResult& result) {
   w.begin_object();
   w.key("app").value(result.app);
   w.key("seed").value(static_cast<std::uint64_t>(result.seed));
-  w.key("golden").begin_object();
-  w.key("instructions").value(result.golden.instructions);
-  w.key("hang_budget").value(result.golden.hang_budget);
-  w.key("rx_bytes_per_rank").begin_array();
-  for (std::uint64_t b : result.golden.rx_bytes) w.value(b);
-  w.end_array();
-  w.end_object();
+  w.key("golden");
+  write_golden_json(w, result.golden);
 
   w.key("regions").begin_array();
   for (const auto& rr : result.regions) {
@@ -237,14 +232,11 @@ std::uint64_t outcome_digest(const BatchResult& result) {
 
 namespace {
 
-/// Spec "prune" values: the level name ("off" | "regs" | "full"), with the
-/// PR-3 booleans still accepted for old spec files and shard partials
-/// (true mapped to the old behaviour, register-only pruning).
+/// Spec "prune" values: a level name, "off" | "full".
 PruneLevel read_prune(const util::JsonValue& v) {
-  if (v.kind() == util::JsonValue::Kind::kBool)
-    return v.as_bool() ? PruneLevel::kRegs : PruneLevel::kOff;
-  if (auto level = parse_prune_level(v.as_string())) return *level;
-  throw util::SetupError("unknown prune level '" + v.as_string() + "'");
+  if (v.kind() == util::JsonValue::Kind::kString)
+    if (auto level = parse_prune_level(v.as_string())) return *level;
+  throw util::SetupError("\"prune\" expects off|full");
 }
 
 }  // namespace
@@ -284,7 +276,7 @@ CampaignSpec read_campaign_spec(const util::JsonValue& v) {
     else
       throw util::SetupError("unknown engine '" + f->as_string() + "'");
   }
-  // v1 documents predate app-param overrides; absent keys mean app defaults.
+  // Absent app-param overrides mean app defaults.
   if (const auto* f = v.find("ranks"))
     spec.params.ranks = static_cast<int>(f->as_int());
   if (const auto* f = v.find("steps"))
@@ -360,18 +352,11 @@ void read_region_counts(const util::JsonValue& v, RegionResult& rr) {
       rr.crash_kinds[k] = static_cast<int>((*items)[k].as_int());
   }
   rr.pruned = static_cast<int>(v.at("pruned").as_int());
-  // Absent in checkpoints written before the precision ladder: all zero.
-  // The ladder only ever appends rungs, so a shorter array from an older
-  // checkpoint is the prefix of today's: missing tail rungs stay zero.
-  if (const util::JsonValue* rungs = v.find("pruned_rungs")) {
-    const auto& items = rungs->items();
-    if (items.size() > kNumPruneRungs)
-      throw util::SetupError("json: expected at most " +
-                             std::to_string(kNumPruneRungs) +
-                             " prune-rung counts, got " +
-                             std::to_string(items.size()));
-    for (unsigned r = 0; r < items.size(); ++r)
-      rr.pruned_rungs[r] = static_cast<int>(items[r].as_int());
+  {
+    const auto* items =
+        fixed(v.at("pruned_rungs"), kNumPruneRungs, "prune-rung");
+    for (unsigned r = 0; r < kNumPruneRungs; ++r)
+      rr.pruned_rungs[r] = static_cast<int>((*items)[r].as_int());
   }
   {
     const auto* items = fixed(v.at("act_executions"), 2, "activation");
@@ -395,11 +380,7 @@ CampaignResult read_campaign(const util::JsonValue& v) {
   CampaignResult result;
   result.app = v.at("app").as_string();
   result.seed = v.at("seed").as_u64();
-  const util::JsonValue& g = v.at("golden");
-  result.golden.instructions = g.at("instructions").as_u64();
-  result.golden.hang_budget = g.at("hang_budget").as_u64();
-  for (const auto& b : g.at("rx_bytes_per_rank").items())
-    result.golden.rx_bytes.push_back(b.as_u64());
+  result.golden = read_golden_json(v.at("golden"));
   for (const auto& rv : v.at("regions").items()) {
     RegionResult rr;
     rr.region = region_from_display(rv.at("region").as_string());
@@ -412,7 +393,7 @@ CampaignResult read_campaign(const util::JsonValue& v) {
       rr.crash_kinds[static_cast<unsigned>(crash_kind_from_name(name))] =
           static_cast<int>(count.as_int());
     rr.pruned = static_cast<int>(rv.at("pruned").as_int());
-    // Optional (absent in pre-ladder documents and when nothing pruned).
+    // Absent when nothing pruned.
     if (const util::JsonValue* rungs = rv.find("pruned_rungs")) {
       for (const auto& [name, count] : rungs->members())
         rr.pruned_rungs[static_cast<unsigned>(prune_rung_from_token(name))] =
@@ -484,15 +465,14 @@ std::string batch_json(const BatchResult& result,
 BatchResult parse_batch_json(const std::string& text) {
   const util::JsonValue doc = util::parse_json(text);
   const util::JsonValue* f = doc.find("format");
-  if (!f || (f->as_string() != kBatchFormatV1 &&
-             f->as_string() != kBatchFormatV2))
+  if (!f || f->as_string() != kBatchFormatV2)
     throw util::SetupError(
-        "not an fsim batch/shard document (expected format: fsim-batch-v1 "
-        "or fsim-batch-v2, got " +
+        "not an fsim batch/shard document (expected format: fsim-batch-v2, "
+        "got " +
         (f ? "'" + f->as_string() + "'" : std::string("none")) + ")");
-  // v1 documents predate the "kind" discriminator and are always results.
-  if (const util::JsonValue* k = doc.find("kind");
-      k && k->as_string() != "result") {
+  const util::JsonValue* k = doc.find("kind");
+  if (!k) throw util::SetupError("fsim-batch-v2 document has no \"kind\"");
+  if (k->as_string() != "result") {
     if (k->as_string() == "checkpoint")
       throw util::SetupError(
           "document is a checkpoint, not a batch result (resume it with "
@@ -567,20 +547,7 @@ BatchResult merge_batch(const std::vector<BatchResult>& shards) {
         if (rr.region != p.region)
           throw util::SetupError("merge: region order mismatch in campaign '" +
                                  into.app + "'");
-        rr.executions += p.executions;
-        rr.skipped += p.skipped;
-        for (unsigned m = 0; m < kNumManifestations; ++m)
-          rr.counts[m] += p.counts[m];
-        for (unsigned k = 0; k < kNumCrashKinds; ++k)
-          rr.crash_kinds[k] += p.crash_kinds[k];
-        rr.pruned += p.pruned;
-        for (unsigned pr = 0; pr < kNumPruneRungs; ++pr)
-          rr.pruned_rungs[pr] += p.pruned_rungs[pr];
-        for (unsigned a = 0; a < 2; ++a) {
-          rr.act_executions[a] += p.act_executions[a];
-          for (unsigned m = 0; m < kNumManifestations; ++m)
-            rr.act_counts[a][m] += p.act_counts[a][m];
-        }
+        merge_region_counts(rr, p);
       }
     }
   }
@@ -591,19 +558,14 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
   const util::JsonValue doc = util::parse_json(text);
   const CampaignConfig defaults;  // library defaults for unset fields
 
-  // Schema version: no "format" key is the legacy v1 schema; v2 must say
-  // so explicitly, and anything else is refused rather than misread.
-  bool v2 = false;
-  if (const util::JsonValue* f = doc.find("format")) {
-    if (f->as_string() != kBatchFormatV2)
-      throw util::SetupError("batch spec: unsupported format '" +
-                             f->as_string() +
-                             "' (expected fsim-batch-v2, or no format key "
-                             "for the legacy v1 schema)");
-    v2 = true;
-  }
+  // "format" is optional; when present it must name this schema, and
+  // anything else is refused rather than misread.
+  if (const util::JsonValue* f = doc.find("format");
+      f && f->as_string() != kBatchFormatV2)
+    throw util::SetupError("batch spec: unsupported format '" +
+                           f->as_string() + "' (expected fsim-batch-v2)");
 
-  auto fill = [v2](CampaignSpec& spec, const util::JsonValue& v) {
+  auto fill = [](CampaignSpec& spec, const util::JsonValue& v) {
     if (const auto* f = v.find("runs"))
       spec.runs_per_region = static_cast<int>(f->as_int());
     if (const auto* f = v.find("seed")) spec.seed = f->as_u64();
@@ -621,13 +583,6 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
       else
         throw util::SetupError("batch spec: unknown engine '" +
                                f->as_string() + "'");
-    }
-    if (!v2) {
-      if (v.find("ranks") || v.find("steps"))
-        throw util::SetupError(
-            "batch spec: \"ranks\"/\"steps\" app-config overrides require "
-            "\"format\": \"fsim-batch-v2\"");
-      return;
     }
     if (const auto* f = v.find("ranks"))
       spec.params.ranks = static_cast<int>(f->as_int());

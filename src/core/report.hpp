@@ -16,13 +16,11 @@ class JsonValue;
 
 namespace fsim::core {
 
-/// Versioned document headers. Every artefact the laboratory exchanges
-/// between hosts — shard results, checkpoints, spec files — carries a
-/// `"format"` field; readers accept v1 (filling defaults) and v2, and
-/// refuse anything else with a precise error. v2 documents additionally
-/// carry a `"kind"` ("result" | "checkpoint") so the two artefact types
-/// cannot be confused.
-inline constexpr const char* kBatchFormatV1 = "fsim-batch-v1";
+/// Versioned document header. Every artefact the laboratory exchanges
+/// between hosts — shard results, checkpoints — carries
+/// `"format": "fsim-batch-v2"` and a `"kind"` ("result" | "checkpoint") so
+/// the two artefact types cannot be confused; readers refuse anything else
+/// with a precise error. Spec files may carry the same `"format"`.
 inline constexpr const char* kBatchFormatV2 = "fsim-batch-v2";
 
 /// Full campaign result as a JSON document: app, seed, golden statistics,
@@ -77,19 +75,16 @@ BatchResult merge_batch(const std::vector<BatchResult>& shards);
 /// Per-campaign CSV rows (campaign_csv with the header emitted once).
 std::string batch_csv(const BatchResult& result);
 
-/// Batch description for `fsim batch --spec=FILE`. Two schema versions:
+/// Batch description for `fsim batch --spec=FILE`:
 ///
-/// v1 (no "format" key — every pre-v2 spec file):
-///   {"runs": 200, "seed": 250, "prune": true, "regions": ["regular",...],
-///    "campaigns": [{"app": "wavetoy", "runs": 400, ...}, ...]}
+///   {"runs": 200, "seed": 250, "prune": "full", "regions": ["regular",...],
+///    "campaigns": [{"app": "wavetoy", "runs": 400, "steps": 20}, ...]}
+///
 /// Top-level keys give defaults; each campaign object needs at least
-/// "app" and may override runs/seed/regions/prune/dictionary_entries.
-/// App configs take their library defaults.
-///
-/// v2 ({"format": "fsim-batch-v2"}): same keys, plus per-campaign app
-/// *config* overrides "ranks" and "steps" (top-level values give
-/// defaults). A v1 document still parses — the overrides just stay 0
-/// (app defaults). Any other "format" value is refused.
+/// "app" and may override runs/seed/regions/prune/dictionary_entries/
+/// engine and the app *config* values "ranks" and "steps" (absent: app
+/// defaults). "format" is optional; when present it must be
+/// "fsim-batch-v2".
 ///
 /// Throws SetupError on malformed specs.
 std::vector<CampaignSpec> parse_batch_spec(const std::string& text);

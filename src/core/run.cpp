@@ -44,8 +44,6 @@ const char* prune_level_name(PruneLevel level) noexcept {
   switch (level) {
     case PruneLevel::kOff:
       return "off";
-    case PruneLevel::kRegs:
-      return "regs";
     case PruneLevel::kFull:
       return "full";
   }
@@ -53,10 +51,8 @@ const char* prune_level_name(PruneLevel level) noexcept {
 }
 
 std::optional<PruneLevel> parse_prune_level(std::string_view text) noexcept {
-  if (text == "off" || text == "false") return PruneLevel::kOff;
-  if (text == "regs") return PruneLevel::kRegs;
-  if (text == "full" || text == "on" || text == "true")
-    return PruneLevel::kFull;
+  if (text == "off") return PruneLevel::kOff;
+  if (text == "full") return PruneLevel::kFull;
   return std::nullopt;
 }
 
@@ -89,22 +85,6 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
                       app.hang_budget_factor) +
                   200'000;
   return g;
-}
-
-RunOutcome run_injected(const apps::App& app, const Golden& golden,
-                        Region region, const FaultDictionary* dictionary,
-                        std::uint64_t seed) {
-  // Convenience path for one-off runs; campaigns link once and use the
-  // shared-Program overload to avoid ~3200 redundant assembler passes.
-  return run_injected(app, app.link(), golden, region, dictionary, seed);
-}
-
-RunOutcome run_injected(const apps::App& app, const svm::Program& program,
-                        const Golden& golden, Region region,
-                        const FaultDictionary* dictionary,
-                        std::uint64_t seed) {
-  return run_injected(app, program, golden, region, dictionary, seed,
-                      RunContext{});
 }
 
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,

@@ -45,35 +45,22 @@ Golden run_golden(
     svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded,
     std::shared_ptr<const svm::exec::CompiledProgram> compiled = nullptr);
 
-/// Run once with a single injected fault and classify the outcome.
-///  * memory/register regions: the fault fires at a uniformly random global
-///    instruction t in [0, golden.instructions);
-///  * message region: a {byte, bit} fault is armed on a random rank's
-///    channel with the byte uniform in that rank's golden received volume.
-RunOutcome run_injected(const apps::App& app, const Golden& golden,
-                        Region region, const FaultDictionary* dictionary,
-                        std::uint64_t seed);
-
-/// Same, against a shared pre-linked image (see run_golden above).
-RunOutcome run_injected(const apps::App& app, const svm::Program& program,
-                        const Golden& golden, Region region,
-                        const FaultDictionary* dictionary, std::uint64_t seed);
-
 /// Which statically-dead fault classes may be classified Correct without
 /// resuming the run. Every level is sound — aggregates are bit-identical
 /// across levels; higher levels merely skip more already-decided runs.
+/// kFull is 2 because checkpoint blobs and checkpoint digests store the
+/// numeric value; 1 is refused on read.
 enum class PruneLevel : std::uint8_t {
-  kOff,   // never prune
-  kRegs,  // integer register faults only (the PR-2 scope)
-  kFull,  // + provably empty FP slots, unreachable text, dead data/BSS,
-          //   dead heap allocation sites, dead stack-frame slots
+  kOff = 0,   // never prune
+  kFull = 2,  // dead integer registers, provably empty FP slots, unreachable
+              // text, dead data/BSS, dead heap allocation sites, dead
+              // stack-frame slots
 };
 
-/// "off" | "regs" | "full".
+/// "off" | "full".
 const char* prune_level_name(PruneLevel level) noexcept;
 
-/// Parse a --prune value. Accepts the level names plus the legacy booleans
-/// ("on"/"true" -> kFull, "false" -> kOff); nullopt on anything else.
+/// Parse a --prune value ("off" | "full"); nullopt on anything else.
 std::optional<PruneLevel> parse_prune_level(std::string_view text) noexcept;
 
 /// Does `level` allow pruning a statically-dead fault in `region`?
@@ -82,8 +69,6 @@ constexpr bool prune_allows(PruneLevel level, Region region) noexcept {
   switch (level) {
     case PruneLevel::kOff:
       return false;
-    case PruneLevel::kRegs:
-      return region == Region::kRegularReg;
     case PruneLevel::kFull:
       return region == Region::kRegularReg || region == Region::kFpReg ||
              region == Region::kText || region == Region::kData ||
@@ -115,11 +100,17 @@ struct RunContext {
   std::shared_ptr<const svm::exec::CompiledProgram> compiled;
 };
 
-/// Same, with activation tagging and optional pre-injection pruning. The
-/// context-free overloads delegate here with a default (inactive) context.
+/// Run once with a single injected fault and classify the outcome, against
+/// a shared pre-linked image (see run_golden above; callers link once).
+///  * memory/register regions: the fault fires at a uniformly random global
+///    instruction t in [0, golden.instructions);
+///  * message region: a {byte, bit} fault is armed on a random rank's
+///    channel with the byte uniform in that rank's golden received volume.
+/// `ctx` adds activation tagging and optional pre-injection pruning; the
+/// default context tags and prunes nothing.
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,
-                        const RunContext& ctx);
+                        const RunContext& ctx = {});
 
 }  // namespace fsim::core

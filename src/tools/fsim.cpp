@@ -60,12 +60,12 @@ int print_usage() {
   std::printf(
       "usage: fsim <command> [options]\n"
       "  run       --app=NAME --region=REGION [--seed=N]\n"
-      "            [--prune=off|regs|full] [--engine=interp|threaded]\n"
+      "            [--prune=off|full] [--engine=interp|threaded]\n"
       "  campaign  --app=NAME [--runs=N] [--regions=a,b,...] [--seed=N]\n"
-      "            [--jobs=N] [--prune=off|regs|full] [--activation]\n"
+      "            [--jobs=N] [--prune=off|full] [--activation]\n"
       "            [--engine=interp|threaded] [--json] [--csv] [--quiet]\n"
       "  batch     --apps=a,b,... | --spec=FILE [--runs=N] [--regions=...]\n"
-      "            [--seed=N] [--jobs=N] [--prune=off|regs|full] [--shard=i/N]\n"
+      "            [--seed=N] [--jobs=N] [--prune=off|full] [--shard=i/N]\n"
       "            [--checkpoint=FILE] [--checkpoint-every=N]\n"
       "            [--ckpt-encoding=json|bin] [--engine=interp|threaded]\n"
       "            [--ci=D] [--confidence=P] [--wave=N] [--max-runs=N]\n"
@@ -132,7 +132,7 @@ bool parse_prune(const util::Cli& cli, core::PruneLevel& prune) {
     prune = *level;
     return true;
   }
-  std::fprintf(stderr, "option --prune expects off|regs|full, got '%s'\n",
+  std::fprintf(stderr, "option --prune expects off|full, got '%s'\n",
                v.c_str());
   return false;
 }

@@ -1,28 +1,60 @@
 #!/usr/bin/env bash
-# CLI gate for the --prune flag on `fsim run`: an unknown spelling must be
-# rejected with a message listing the valid values, and a valid level must
-# attach the static analysis and report the activation verdict. Guards the
-# single-run entry point into the precision ladder (campaign/batch have
-# their own digest gates). The --engine flag's unknown spellings, including
-# the retired `interpreter` alias, are rejected the same way.
+# CLI gate for the --prune flag: `fsim run` and `fsim batch` accept exactly
+# off|full and reject anything else (the retired `regs` level and the
+# on|true|false spellings included) with a message listing the valid
+# values, and a valid level on `fsim run` attaches the static analysis and
+# reports the activation verdict. Spec files refuse a boolean "prune", and
+# `fsim merge` refuses a result document that is not fsim-batch-v2. The
+# --engine flag's unknown spellings, including the retired `interpreter`
+# alias, are rejected the same way.
 #
 #   tests/cli_prune_test.sh <path-to-fsim>
 set -euo pipefail
 
 fsim="${1:?usage: cli_prune_test.sh <fsim>}"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
-# Unknown spelling: nonzero exit, error names the valid values.
-if err="$("$fsim" run --app=wavetoy --region=heap --seed=5 --prune=bogus \
-            2>&1)"; then
-  echo "cli_prune: --prune=bogus unexpectedly succeeded" >&2
-  exit 1
-fi
-case "$err" in
-  *"off|regs|full"*) ;;
-  *) echo "cli_prune: error does not list valid values: $err" >&2
-     exit 1 ;;
-esac
-echo "  --prune=bogus rejected: $err"
+# expect_refusal LABEL PATTERN CMD...: CMD must exit nonzero with PATTERN
+# in its output.
+expect_refusal() {
+  local label="$1" pattern="$2"
+  shift 2
+  local err
+  if err="$("$@" 2>&1)"; then
+    echo "cli_prune: $label unexpectedly succeeded" >&2
+    exit 1
+  fi
+  case "$err" in
+    *"$pattern"*) ;;
+    *) echo "cli_prune: $label: error lacks '$pattern': $err" >&2
+       exit 1 ;;
+  esac
+  echo "  $label rejected: $err"
+}
+
+# Unknown and retired spellings: nonzero exit, error names the valid values.
+for bad in bogus regs on true false; do
+  expect_refusal "run --prune=$bad" "off|full" \
+    "$fsim" run --app=wavetoy --region=heap --seed=5 --prune="$bad"
+  expect_refusal "batch --prune=$bad" "off|full" \
+    "$fsim" batch --apps=wavetoy --runs=1 --regions=regular --jobs=1 \
+    --quiet --prune="$bad"
+done
+
+# Spec files take a level name only, never the old boolean.
+printf '%s\n' '{"prune": true, "runs": 1, "regions": ["regular"],' \
+  ' "campaigns": [{"app": "wavetoy"}]}' > "$tmp/bool.json"
+expect_refusal 'batch --spec with "prune": true' "off|full" \
+  "$fsim" batch --spec="$tmp/bool.json" --jobs=1 --quiet
+
+# fsim merge reads fsim-batch-v2 result documents only.
+"$fsim" batch --apps=wavetoy --runs=1 --regions=regular --jobs=1 --quiet \
+  --json --out="$tmp/v2.json"
+sed 's/"fsim-batch-v2"/"fsim-batch-v1"/' "$tmp/v2.json" > "$tmp/v1.json"
+"$fsim" merge "$tmp/v2.json" --json > /dev/null
+expect_refusal "merge of an fsim-batch-v1 document" "fsim-batch-v2" \
+  "$fsim" merge "$tmp/v1.json"
 
 # --engine accepts exactly interp|threaded.
 for bad in interpreter bogus; do

@@ -212,8 +212,8 @@ TEST(Batch, SpecFileParsing) {
     "runs": 32, "seed": 77, "regions": ["regular", "message"],
     "campaigns": [
       {"app": "wavetoy"},
-      {"app": "minimd", "runs": 16, "prune": false, "regions": ["text"]},
-      {"app": "atmo", "prune": "regs"}
+      {"app": "minimd", "runs": 16, "prune": "off", "regions": ["text"]},
+      {"app": "atmo", "prune": "full"}
     ]})";
   const std::vector<CampaignSpec> specs = parse_batch_spec(spec);
   ASSERT_EQ(specs.size(), 3u);
@@ -225,11 +225,24 @@ TEST(Batch, SpecFileParsing) {
   EXPECT_EQ(specs[0].prune, PruneLevel::kFull);
   EXPECT_EQ(specs[1].app, "minimd");
   EXPECT_EQ(specs[1].runs_per_region, 16);
-  // Legacy boolean spelling from the two-level era maps onto the levels.
   EXPECT_EQ(specs[1].prune, PruneLevel::kOff);
   EXPECT_EQ(specs[1].regions, (std::vector<Region>{Region::kText}));
   EXPECT_EQ(specs[2].app, "atmo");
-  EXPECT_EQ(specs[2].prune, PruneLevel::kRegs);
+  EXPECT_EQ(specs[2].prune, PruneLevel::kFull);
+
+  // "prune" takes a level name only: the booleans of the two-level era
+  // and the retired "regs" level are refused, at either nesting level.
+  for (const char* value : {"true", "false", "\"regs\"", "\"on\""}) {
+    const std::string v = value;
+    EXPECT_THROW(parse_batch_spec(R"({"campaigns": [{"app": "wavetoy",
+                                     "prune": )" + v + "}]}"),
+                 util::SetupError)
+        << v;
+    EXPECT_THROW(parse_batch_spec(R"({"prune": )" + v +
+                                  R"(, "campaigns": [{"app": "wavetoy"}]})"),
+                 util::SetupError)
+        << v;
+  }
 
   EXPECT_THROW(parse_batch_spec("{\"campaigns\": []}"), util::SetupError);
   EXPECT_THROW(parse_batch_spec("{\"campaigns\": [{}]}"), util::SetupError);

@@ -92,6 +92,19 @@ Checkpoint partial_checkpoint(const std::vector<BatchEntry>& entries,
   return ck;
 }
 
+/// Message of the SetupError `f` throws ("" and a test failure when it
+/// throws nothing).
+template <typename F>
+std::string setup_error_of(F f) {
+  try {
+    f();
+  } catch (const util::SetupError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a SetupError";
+  return "";
+}
+
 void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   ASSERT_EQ(a.regions.size(), b.regions.size());
   for (std::size_t i = 0; i < a.regions.size(); ++i) {
@@ -348,10 +361,9 @@ TEST(Observer, HooksFireSerializedAndCountEveryRun) {
 }
 
 TEST(Format, LegacyV1ResultDocumentsStillParse) {
-  // A pinned pre-v2 shard document (no "kind", no app params, no digest —
-  // all optional in v1). The reader must fill defaults, not refuse.
-  const std::string v1 = R"({
-    "format": "fsim-batch-v1",
+  // Name kept from when v1 documents were read; it now pins their refusal.
+  // A result document must say fsim-batch-v2 and "kind": "result".
+  const std::string body = R"(
     "shard": {"index": 0, "count": 1},
     "campaigns": [{
       "spec": {"app": "wavetoy", "runs_per_region": 2, "seed": 7,
@@ -365,7 +377,18 @@ TEST(Format, LegacyV1ResultDocumentsStillParse) {
                               "manifestations": {}, "crash_kinds": {},
                               "pruned": 0}]}
     }]})";
-  const BatchResult res = parse_batch_json(v1);
+  const std::string v1 = R"({"format": "fsim-batch-v1",)" + body;
+  EXPECT_NE(setup_error_of([&] { parse_batch_json(v1); })
+                .find("expected format: fsim-batch-v2"),
+            std::string::npos);
+  // v2 without the kind discriminator is refused too.
+  EXPECT_NE(setup_error_of([&] {
+              parse_batch_json(R"({"format": "fsim-batch-v2",)" + body);
+            }).find("\"kind\""),
+            std::string::npos);
+  // The same body under the v2 header parses: the refusal is the header's.
+  const BatchResult res = parse_batch_json(
+      R"({"format": "fsim-batch-v2", "kind": "result",)" + body);
   ASSERT_EQ(res.specs.size(), 1u);
   EXPECT_EQ(res.specs[0].params, apps::AppParams{});
   EXPECT_EQ(res.campaigns[0].regions[0].executions, 2);
@@ -389,18 +412,94 @@ TEST(Format, V2SpecFilesCarryAppParams) {
   EXPECT_EQ(specs[1].params.ranks, 2);  // per-campaign override
   EXPECT_EQ(specs[1].params.steps, 0);
 
-  // v1 spec files cannot smuggle in params, and unknown formats are refused.
-  EXPECT_THROW(
-      parse_batch_spec(R"({"campaigns": [{"app": "wavetoy", "ranks": 4}]})"),
-      util::SetupError);
-  EXPECT_THROW(parse_batch_spec(
-                   R"({"format": "fsim-batch-v9", "campaigns": []})"),
-               util::SetupError);
+  // One schema: "format" is optional, and params are allowed without it.
+  const std::vector<CampaignSpec> bare =
+      parse_batch_spec(R"({"campaigns": [{"app": "wavetoy", "ranks": 4}]})");
+  ASSERT_EQ(bare.size(), 1u);
+  EXPECT_EQ(bare[0].params.ranks, 4);
+  // A format other than v2 is refused, v1 included.
+  for (const char* format : {"fsim-batch-v1", "fsim-batch-v9"})
+    EXPECT_NE(setup_error_of([&] {
+                parse_batch_spec(std::string(R"({"format": ")") + format +
+                                 R"(", "campaigns": [{"app": "wavetoy"}]})");
+              }).find("expected fsim-batch-v2"),
+              std::string::npos)
+        << format;
 
   // Params flow into the linked app and are refused when out of range.
   EXPECT_EQ(apps::make_app("wavetoy", {4, 8}).world.nranks, 4);
   EXPECT_THROW(apps::make_app("wavetoy", {65, 0}), util::SetupError);
   EXPECT_THROW(apps::make_app("minimd", {0, -1}), util::SetupError);
+}
+
+/// A one-campaign, one-region adaptive checkpoint whose slot 0 completed
+/// runs [0, done) with the given frontier. Digests are computed on
+/// serialization, so only the decoders' semantic checks can refuse it.
+Checkpoint adaptive_checkpoint(AdaptivePolicy policy, int done, int frontier) {
+  CampaignSpec spec;
+  spec.app = "wavetoy";
+  spec.runs_per_region = 20;
+  spec.seed = 7;
+  spec.regions = {Region::kRegularReg};
+  spec.dictionary_entries = 16;
+  Golden golden;
+  golden.instructions = 100;
+  golden.hang_budget = 200;
+  golden.rx_bytes = {0, 8};
+  Checkpoint ck = make_checkpoint({spec}, {golden}, ShardSpec{});
+  ck.adaptive = policy;
+  CheckpointSlot& cs = ck.slots[0];
+  if (done > 0) cs.done.append_range(0, done - 1);
+  cs.counts.executions = done;
+  cs.counts.counts[0] = done;
+  cs.frontier = frontier;
+  ck.cursor = static_cast<std::uint64_t>(done);
+  return ck;
+}
+
+TEST(Checkpoint, BothEncodingsRefuseWhatRunAdaptiveWould) {
+  // Sanity: a well-formed adaptive checkpoint parses in both encodings.
+  const Checkpoint good = adaptive_checkpoint(AdaptivePolicy{}, 5, 10);
+  for (auto enc : {CheckpointEncoding::kJson, CheckpointEncoding::kBinary})
+    EXPECT_EQ(checkpoint_json(
+                  parse_checkpoint_json(checkpoint_serialize(good, enc))),
+              checkpoint_json(good));
+
+  // Completed runs outside the wave frontier: resuming would re-run grid
+  // points that are already counted.
+  const Checkpoint outside = adaptive_checkpoint(AdaptivePolicy{}, 10, 5);
+  // A policy run_adaptive refuses (ci outside (0, 1)).
+  AdaptivePolicy wide;
+  wide.ci = 2.0;
+  const Checkpoint bad_policy = adaptive_checkpoint(wide, 5, 10);
+  for (auto enc : {CheckpointEncoding::kJson, CheckpointEncoding::kBinary}) {
+    const std::string name = checkpoint_encoding_name(enc);
+    EXPECT_NE(setup_error_of([&] {
+                parse_checkpoint_json(checkpoint_serialize(outside, enc));
+              }).find("outside the cell's wave frontier"),
+              std::string::npos)
+        << name;
+    EXPECT_NE(setup_error_of([&] {
+                parse_checkpoint_json(checkpoint_serialize(bad_policy, enc));
+              }).find("malformed adaptive policy"),
+              std::string::npos)
+        << name;
+  }
+}
+
+TEST(Encoding, BlobRefusesTheRetiredPruneLevel) {
+  // kFull keeps the value 2 it had when a register-only level held 1, so
+  // existing blobs decode unchanged; 1 itself is refused.
+  Checkpoint ck = adaptive_checkpoint(AdaptivePolicy{}, 5, 10);
+  ck.specs[0].prune = static_cast<PruneLevel>(1);
+  EXPECT_NE(setup_error_of([&] {
+              parse_checkpoint_json(
+                  checkpoint_serialize(ck, CheckpointEncoding::kBinary));
+            }).find("unknown prune level"),
+            std::string::npos);
+  ck.specs[0].prune = PruneLevel::kFull;
+  EXPECT_NO_THROW(parse_checkpoint_json(
+      checkpoint_serialize(ck, CheckpointEncoding::kBinary)));
 }
 
 TEST(Encoding, BinaryCheckpointRoundTripsByteIdentically) {

@@ -27,8 +27,8 @@ apps::App tiny_wavetoy() {
 
 TEST(Fuzz, EveryRegionEveryOutcomeIsDefined) {
   apps::App app = tiny_wavetoy();
-  const Golden golden = run_golden(app);
   const svm::Program program = app.link();
+  const Golden golden = run_golden(app, program);
   util::Rng drng(0xd1);
   std::array<std::unique_ptr<FaultDictionary>, kNumRegions> dicts;
   for (Region r : {Region::kText, Region::kData, Region::kBss})
@@ -38,7 +38,7 @@ TEST(Fuzz, EveryRegionEveryOutcomeIsDefined) {
   for (unsigned region = 0; region < kNumRegions; ++region) {
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
       const RunOutcome out =
-          run_injected(app, golden, static_cast<Region>(region),
+          run_injected(app, program, golden, static_cast<Region>(region),
                        dicts[region].get(), seed);
       EXPECT_LT(static_cast<unsigned>(out.manifestation), kNumManifestations);
       EXPECT_LE(out.instructions, golden.hang_budget + 1'000'000);

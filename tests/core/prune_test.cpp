@@ -9,6 +9,8 @@
 
 #include "apps/app.hpp"
 #include "core/campaign.hpp"
+#include "core/report.hpp"
+#include "util/status.hpp"
 
 namespace fsim::core {
 namespace {
@@ -79,18 +81,23 @@ TEST(Prune, FullAndOffProduceIdenticalAggregates) {
 }
 
 TEST(Prune, RegsLevelRestrictsPruningToIntegerRegisters) {
-  const apps::App app = tiny_wavetoy();
-  CampaignConfig cfg = base_config();
-  cfg.prune = PruneLevel::kRegs;
-  const CampaignResult res = run_campaign(app, cfg);
-
-  EXPECT_GT(pruned_in(res, Region::kRegularReg), 0);
-  for (const auto& rr : res.regions)
-    if (rr.region != Region::kRegularReg)
-      EXPECT_EQ(rr.pruned, 0) << region_name(rr.region);
-
-  cfg.prune = PruneLevel::kOff;
-  expect_same_aggregates(res, run_campaign(app, cfg));
+  // Name kept from the retired register-only level; it now pins that the
+  // level is gone: "regs" is refused as a flag value and in spec files,
+  // and integer-register pruning belongs to full alone.
+  EXPECT_FALSE(parse_prune_level("regs").has_value());
+  EXPECT_THROW(parse_batch_spec(
+                   R"({"prune": "regs", "campaigns": [{"app": "wavetoy"}]})"),
+               util::SetupError);
+  EXPECT_THROW(parse_batch_spec(
+                   R"({"campaigns": [{"app": "wavetoy", "prune": "regs"}]})"),
+               util::SetupError);
+  for (unsigned r = 0; r < kNumRegions; ++r) {
+    const Region region = static_cast<Region>(r);
+    EXPECT_EQ(prune_allows(PruneLevel::kFull, region),
+              region != Region::kMessage)
+        << region_name(region);
+    EXPECT_FALSE(prune_allows(PruneLevel::kOff, region));
+  }
 }
 
 TEST(Prune, PrunedRunsAreASubsetOfDeadCorrectRuns) {
@@ -132,16 +139,16 @@ TEST(Prune, ParallelAggregatesMatchSerialWithFullPruning) {
 
 TEST(Prune, LevelParsingRoundTrips) {
   EXPECT_EQ(parse_prune_level("off"), PruneLevel::kOff);
-  EXPECT_EQ(parse_prune_level("regs"), PruneLevel::kRegs);
   EXPECT_EQ(parse_prune_level("full"), PruneLevel::kFull);
-  // Legacy boolean spellings from the two-level era.
-  EXPECT_EQ(parse_prune_level("on"), PruneLevel::kFull);
-  EXPECT_EQ(parse_prune_level("true"), PruneLevel::kFull);
-  EXPECT_EQ(parse_prune_level("false"), PruneLevel::kOff);
-  EXPECT_FALSE(parse_prune_level("half").has_value());
-  for (const auto level :
-       {PruneLevel::kOff, PruneLevel::kRegs, PruneLevel::kFull})
+  // Two spellings only: the retired level and boolean spellings are
+  // refused rather than mapped.
+  for (const char* retired : {"regs", "on", "true", "false", "half", ""})
+    EXPECT_FALSE(parse_prune_level(retired).has_value()) << retired;
+  for (const auto level : {PruneLevel::kOff, PruneLevel::kFull})
     EXPECT_EQ(parse_prune_level(prune_level_name(level)), level);
+  // Checkpoint blobs and digests store the numeric value.
+  EXPECT_EQ(static_cast<int>(PruneLevel::kOff), 0);
+  EXPECT_EQ(static_cast<int>(PruneLevel::kFull), 2);
 }
 
 }  // namespace

@@ -42,9 +42,12 @@ TEST(RunGolden, Deterministic) {
 
 TEST(RunInjected, SeedReproducibility) {
   apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
-  const RunOutcome a = run_injected(app, g, Region::kRegularReg, nullptr, 5);
-  const RunOutcome b = run_injected(app, g, Region::kRegularReg, nullptr, 5);
+  const svm::Program program = app.link();
+  Golden g = run_golden(app, program);
+  const RunOutcome a =
+      run_injected(app, program, g, Region::kRegularReg, nullptr, 5);
+  const RunOutcome b =
+      run_injected(app, program, g, Region::kRegularReg, nullptr, 5);
   EXPECT_EQ(a.manifestation, b.manifestation);
   EXPECT_EQ(a.fault_description, b.fault_description);
   EXPECT_EQ(a.instructions, b.instructions);
@@ -52,11 +55,12 @@ TEST(RunInjected, SeedReproducibility) {
 
 TEST(RunInjected, OutcomesAreWellFormed) {
   apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const svm::Program program = app.link();
+  Golden g = run_golden(app, program);
   int applied = 0;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     const RunOutcome out =
-        run_injected(app, g, Region::kRegularReg, nullptr, seed);
+        run_injected(app, program, g, Region::kRegularReg, nullptr, seed);
     if (out.fault_applied) {
       ++applied;
       EXPECT_FALSE(out.fault_description.empty());
@@ -69,9 +73,11 @@ TEST(RunInjected, OutcomesAreWellFormed) {
 
 TEST(RunInjected, MessageFaultsUseGoldenVolume) {
   apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const svm::Program program = app.link();
+  Golden g = run_golden(app, program);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const RunOutcome out = run_injected(app, g, Region::kMessage, nullptr, seed);
+    const RunOutcome out =
+        run_injected(app, program, g, Region::kMessage, nullptr, seed);
     EXPECT_TRUE(out.fault_applied);
     EXPECT_NE(out.fault_description.find("message stream"), std::string::npos);
   }
@@ -81,11 +87,12 @@ TEST(RunInjected, CrashOutcomeCarriesSignal) {
   // Sweep seeds until a crash occurs; its detail must name a signal or an
   // MPICH fatal condition.
   apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const svm::Program program = app.link();
+  Golden g = run_golden(app, program);
   bool found = false;
   for (std::uint64_t seed = 0; seed < 60 && !found; ++seed) {
     const RunOutcome out =
-        run_injected(app, g, Region::kRegularReg, nullptr, seed);
+        run_injected(app, program, g, Region::kRegularReg, nullptr, seed);
     if (out.manifestation == Manifestation::kCrash) {
       found = true;
       EXPECT_FALSE(out.failure_detail.empty());
@@ -98,14 +105,16 @@ TEST(RunInjected, UninjectedRunMatchesGolden) {
   // A message fault armed beyond the traffic volume never fires: the run
   // must classify as Correct.
   apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const svm::Program program = app.link();
+  Golden g = run_golden(app, program);
   // Find a seed whose chosen byte is near the end and force no-fire by
   // shrinking: simplest honest check — run with the message region many
   // times; those that fired must be classified, those that did not must be
   // Correct. (Firing is recorded by fault_applied + channel state.)
   int corrects = 0, total = 0;
   for (std::uint64_t seed = 100; seed < 130; ++seed) {
-    const RunOutcome out = run_injected(app, g, Region::kMessage, nullptr, seed);
+    const RunOutcome out =
+        run_injected(app, program, g, Region::kMessage, nullptr, seed);
     ++total;
     if (out.manifestation == Manifestation::kCorrect) ++corrects;
   }
