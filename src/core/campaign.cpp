@@ -8,6 +8,7 @@
 #include "core/checkpoint.hpp"
 #include "core/dictionary.hpp"
 #include "core/sampling.hpp"
+#include "simmpi/world.hpp"
 #include "util/status.hpp"
 #include "svm/analysis/analysis.hpp"
 #include "svm/exec/compiled.hpp"
@@ -182,6 +183,19 @@ struct BatchSession::Impl {
   std::vector<std::uint64_t> grid_base;   // ncamp + 1 cumulative grid sizes
   std::unique_ptr<util::ThreadPool> pool; // created only for jobs > 1
   std::mutex observer_mu;
+  /// One World per (worker, campaign), built on the worker's first run of
+  /// the campaign and rewound by every later one (run_injected restores a
+  /// golden snapshot first, so nothing carries over between runs). The
+  /// serial path is worker 0.
+  std::vector<std::vector<std::unique_ptr<simmpi::World>>> worlds;
+
+  simmpi::World& world_for(std::size_t worker, std::size_t campaign) {
+    std::unique_ptr<simmpi::World>& w = worlds[worker][campaign];
+    if (!w)
+      w = make_run_world(entries[campaign].app, plans[campaign].program,
+                         plans[campaign].ctx);
+    return *w;
+  }
 
   explicit Impl(const std::vector<BatchEntry>& e) : entries(e) {}
 };
@@ -208,6 +222,8 @@ BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
   if (jobs > 1)
     impl_->pool =
         std::make_unique<util::ThreadPool>(static_cast<std::size_t>(jobs));
+  impl_->worlds.resize(impl_->pool ? impl_->pool->workers() : 1);
+  for (auto& per_worker : impl_->worlds) per_worker.resize(ncamp);
 }
 
 BatchSession::~BatchSession() = default;
@@ -263,7 +279,8 @@ void BatchSession::run_points(const std::vector<Point>& points,
           plan.dicts[static_cast<unsigned>(region)].get();
       const RunOutcome out = run_injected(
           e.app, plan.program, im.campaigns[pt.campaign].golden, region, dict,
-          run_seed_for(e.config, region, pt.run_index), plan.ctx);
+          run_seed_for(e.config, region, pt.run_index), plan.ctx,
+          &im.world_for(0, pt.campaign));
       accumulate_outcome(totals[slot], out);
       const int d = ++done[slot];
       if (observing) {
@@ -306,9 +323,11 @@ void BatchSession::run_points(const std::vector<Point>& points,
         plan->dicts[static_cast<unsigned>(region)].get();
     const std::uint64_t run_seed = run_seed_for(cc, region, pt.run_index);
     pool.submit([&, app, plan, golden, pt, slot, region, dict, run_seed] {
-      const RunOutcome out = run_injected(*app, plan->program, *golden,
-                                          region, dict, run_seed, plan->ctx);
       const int w = util::ThreadPool::current_worker();
+      const RunOutcome out =
+          run_injected(*app, plan->program, *golden, region, dict, run_seed,
+                       plan->ctx,
+                       &im.world_for(static_cast<std::size_t>(w), pt.campaign));
       accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
       if (observing) {
         RunEvent ev;
@@ -338,6 +357,8 @@ std::vector<CampaignResult> BatchSession::attach_regions(
     const std::vector<RegionResult>& totals) const {
   std::vector<CampaignResult> out = impl_->campaigns;
   for (std::size_t c = 0; c < impl_->entries.size(); ++c) {
+    // Results outlive the session; the snapshots serve only its runs.
+    out[c].golden.snapshots.reset();
     const auto& regions = impl_->entries[c].config.regions;
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       RegionResult rr = totals[impl_->slot_base[c] + ri];

@@ -288,7 +288,7 @@ class BatchSession {
                   const std::vector<int>& owned, const Notify& notify);
 
   /// Copy of the campaign skeletons with `totals` (slot order) distributed
-  /// into per-campaign region lists.
+  /// into per-campaign region lists, without the golden snapshots.
   std::vector<CampaignResult> attach_regions(
       const std::vector<RegionResult>& totals) const;
 

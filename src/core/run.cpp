@@ -1,5 +1,6 @@
 #include "core/run.hpp"
 
+#include <memory>
 #include <sstream>
 
 #include "core/injector.hpp"
@@ -56,9 +57,18 @@ std::optional<PruneLevel> parse_prune_level(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-Golden run_golden(const apps::App& app, std::uint64_t seed) {
-  return run_golden(app, app.link(), seed);
-}
+namespace {
+
+/// Golden snapshot cadence: one at t=0, then one at the first scheduler
+/// boundary at or after each multiple of the interval. The interval starts
+/// small and doubles whenever the list outgrows kMaxSnapshots (every other
+/// snapshot is dropped), so a run of any length beyond
+/// kMaxSnapshots * kFirstSnapshotInterval instructions ends with between
+/// kMaxSnapshots/2 and kMaxSnapshots evenly spread snapshots.
+constexpr std::uint64_t kFirstSnapshotInterval = 1u << 16;
+constexpr std::size_t kMaxSnapshots = 32;
+
+}  // namespace
 
 Golden run_golden(const apps::App& app, const svm::Program& program,
                   std::uint64_t seed, svm::exec::EngineKind engine,
@@ -68,7 +78,31 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
   opts.machine.engine = engine;
   opts.machine.compiled = std::move(compiled);
   simmpi::World world(program, opts);
-  const simmpi::JobStatus status = world.run(4'000'000'000ull);
+
+  // World::run's loop, snapshotting at the top of an iteration: exactly the
+  // boundaries run_injected's loop tests t_inject at.
+  auto snapshots = std::make_shared<std::vector<simmpi::Snapshot>>();
+  std::uint64_t interval = kFirstSnapshotInterval;
+  std::uint64_t next = 0;
+  while (world.status() == simmpi::JobStatus::kRunning &&
+         world.global_instructions() < 4'000'000'000ull) {
+    const std::uint64_t now = world.global_instructions();
+    if (now >= next) {
+      // Against the previous snapshot: unchanged memory blocks are shared.
+      snapshots->push_back(simmpi::Snapshot::capture(
+          world, snapshots->empty() ? nullptr : &snapshots->back()));
+      if (snapshots->size() > kMaxSnapshots) {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < snapshots->size(); i += 2)
+          (*snapshots)[kept++] = std::move((*snapshots)[i]);
+        snapshots->resize(kept);
+        interval *= 2;
+      }
+      next = (now / interval + 1) * interval;
+    }
+    world.advance();
+  }
+  const simmpi::JobStatus status = world.status();
   if (status != simmpi::JobStatus::kCompleted)
     throw util::SetupError("golden run of '" + app.name +
                            "' did not complete (status " +
@@ -84,29 +118,55 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
                       static_cast<double>(g.instructions) *
                       app.hang_budget_factor) +
                   200'000;
+  g.snapshots = std::move(snapshots);
   return g;
+}
+
+std::unique_ptr<simmpi::World> make_run_world(const apps::App& app,
+                                              const svm::Program& program,
+                                              const RunContext& ctx) {
+  simmpi::WorldOptions opts = app.world;
+  opts.seed = 1;  // as the golden run's; the restore resets it anyway
+  opts.machine.engine = ctx.engine;
+  opts.machine.compiled = ctx.compiled;
+  return std::make_unique<simmpi::World>(program, opts);
 }
 
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,
-                        const RunContext& ctx) {
+                        const RunContext& ctx, simmpi::World* reuse) {
+  if (!golden.snapshots || golden.snapshots->empty())
+    throw util::SetupError("run_injected: the golden run of '" + app.name +
+                           "' carries no snapshots (use run_golden's result)");
   util::Rng rng(seed);
-  // Every run builds its own World from the shared image, so runs stay
-  // fully independent (and safe to execute concurrently); the fault is
-  // injected into the World's memory, never into `program`.
-  simmpi::WorldOptions opts = app.world;
-  opts.seed = 1;  // the same world seed as the golden run: differences in
-                  // the baseline stream are attributable to the fault alone
-  opts.machine.engine = ctx.engine;
-  opts.machine.compiled = ctx.compiled;
-  simmpi::World world(program, opts);
+  // The fault is injected into the World's memory, never into `program`, so
+  // runs sharing the image stay independent (and safe to execute
+  // concurrently, each on its own World).
+  std::unique_ptr<simmpi::World> own;
+  if (reuse == nullptr) own = make_run_world(app, program, ctx);
+  simmpi::World& world = reuse ? *reuse : *own;
 
   RunOutcome outcome;
   std::ostringstream desc;
 
   const std::uint64_t t_inject =
       golden.instructions ? rng.below(golden.instructions) : 0;
+
+  // Fast-forward: start from the latest golden snapshot strictly before
+  // t_inject. The loop below injects at its first boundary with
+  // global_instructions() >= t_inject; every boundary up to the snapshot's
+  // lies below t_inject, so none of them would have injected, and the
+  // boundaries after it are the golden run's own. (A snapshot *at*
+  // t_inject is not used: a round that executes no instruction leaves two
+  // boundaries at the same count, and the loop injects at the first.)
+  // Message faults are armed before the first instruction: t=0.
+  const std::vector<simmpi::Snapshot>& snaps = *golden.snapshots;
+  const simmpi::Snapshot* start = &snaps.front();
+  if (region != Region::kMessage)
+    for (const simmpi::Snapshot& s : snaps)
+      if (s.instructions() < t_inject) start = &s;
+  start->restore(world);
 
   if (region == Region::kMessage) {
     // §3.3: choose a process, then a uniformly random point in its golden

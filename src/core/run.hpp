@@ -12,6 +12,7 @@
 #include "apps/app.hpp"
 #include "core/dictionary.hpp"
 #include "core/outcome.hpp"
+#include "simmpi/snapshot.hpp"
 #include "svm/exec/engine.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +21,9 @@ class ProgramAnalysis;
 }
 namespace fsim::svm::exec {
 class CompiledProgram;
+}
+namespace fsim::simmpi {
+class World;
 }
 
 namespace fsim::core {
@@ -30,16 +34,23 @@ struct Golden {
   std::string baseline;                 // output file or console (per app)
   std::vector<std::uint64_t> rx_bytes;  // received volume per rank (§3.3)
   std::uint64_t hang_budget = 0;        // instructions before we call it a hang
+  /// Whole-job snapshots of the golden execution, ascending in
+  /// instructions(): the first at t=0, the rest at scheduler boundaries
+  /// the run visited, at most 32 spread over the run. Injected runs start
+  /// from them instead of replaying the prefix (see run_injected). They are
+  /// images of the one Program the golden run executed, so a Golden is
+  /// only ever paired with that Program. Not part of any identity, digest
+  /// or document: checkpoints and result files carry the fields above.
+  std::shared_ptr<const std::vector<simmpi::Snapshot>> snapshots;
 };
 
-/// Run the application fault-free. Throws SetupError if it does not
-/// complete — a broken golden run invalidates the whole campaign.
-Golden run_golden(const apps::App& app, std::uint64_t seed = 1);
-
-/// Same, against an already-linked image. The assembler is deterministic,
-/// so drivers that execute many runs (campaigns, single-run CLI paths) link
-/// once and share the `Program` read-only across every run — including
-/// across the campaign executor's worker threads.
+/// Run the application fault-free against a linked image and snapshot it
+/// along the way. Throws SetupError if it does not complete — a broken
+/// golden run invalidates the whole campaign. The assembler is
+/// deterministic, so drivers link once and share the `Program` read-only
+/// across the golden run and every injected run — including across the
+/// campaign executor's worker threads. `seed` is the world seed of the
+/// golden execution, and through its snapshots that of every injected run.
 Golden run_golden(
     const apps::App& app, const svm::Program& program, std::uint64_t seed = 1,
     svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded,
@@ -101,16 +112,35 @@ struct RunContext {
 };
 
 /// Run once with a single injected fault and classify the outcome, against
-/// a shared pre-linked image (see run_golden above; callers link once).
+/// the pre-linked image `golden` was run on (see run_golden above).
 ///  * memory/register regions: the fault fires at a uniformly random global
 ///    instruction t in [0, golden.instructions);
 ///  * message region: a {byte, bit} fault is armed on a random rank's
 ///    channel with the byte uniform in that rank's golden received volume.
 /// `ctx` adds activation tagging and optional pre-injection pruning; the
 /// default context tags and prunes nothing.
+///
+/// The run starts from the latest golden snapshot strictly before t (the
+/// t=0 snapshot for message faults) rather than replaying the prefix: the
+/// prefix *is* the golden execution, and every snapshot sits on a
+/// scheduler boundary the injection loop visits, so the fault lands at the
+/// same instant and the outcome is the one a full replay gives.
+///
+/// `world`, when given, is rewound and reused instead of building a World
+/// per run; it must have been built from `program` with the app's world
+/// options and ctx's engine and compiled stream (the restore overwrites all
+/// of its state, so nothing carries over from its previous run). Null
+/// builds a fresh one.
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,
-                        const RunContext& ctx = {});
+                        const RunContext& ctx = {},
+                        simmpi::World* world = nullptr);
+
+/// The World run_injected builds for `program` under `ctx` — what a caller
+/// reusing one World across runs constructs once.
+std::unique_ptr<simmpi::World> make_run_world(const apps::App& app,
+                                              const svm::Program& program,
+                                              const RunContext& ctx);
 
 }  // namespace fsim::core

@@ -10,7 +10,7 @@ namespace fsim::simmpi {
 struct Snapshot::Impl {
   struct RankState {
     svm::Machine::CoreState core;
-    std::array<std::vector<std::byte>, svm::kNumSegments> memory;
+    svm::Memory::Image memory;  // written extents only
     svm::Heap::State heap;
     svm::BasicEnv::IoState io;
     Channel::State channel;
@@ -26,16 +26,22 @@ Snapshot::~Snapshot() = default;
 Snapshot::Snapshot(Snapshot&&) noexcept = default;
 Snapshot& Snapshot::operator=(Snapshot&&) noexcept = default;
 
-Snapshot Snapshot::capture(const World& world) {
+Snapshot Snapshot::capture(const World& world, const Snapshot* base) {
   // World accessors are non-const by interface; the capture itself does not
-  // mutate observable state.
+  // mutate observable state (it clears the memories' change flags, which
+  // only the next capture reads).
   World& w = const_cast<World&>(world);
+  if (base && static_cast<int>(base->impl_->ranks.size()) != w.size())
+    base = nullptr;
   Snapshot snap;
   snap.impl_->world = w.snapshot_state();
+  snap.impl_->ranks.reserve(static_cast<std::size_t>(w.size()));
   for (int r = 0; r < w.size(); ++r) {
     Impl::RankState rs;
     rs.core = w.machine(r).core_state();
-    rs.memory = w.machine(r).memory().snapshot_contents();
+    rs.memory = w.machine(r).memory().capture_image(
+        base ? &base->impl_->ranks[static_cast<std::size_t>(r)].memory
+             : nullptr);
     rs.heap = w.process(r).heap().snapshot_state();
     rs.io = w.process(r).io_state();
     rs.channel = w.process(r).channel().snapshot_state();
@@ -52,7 +58,7 @@ void Snapshot::restore(World& world) const {
   for (int r = 0; r < world.size(); ++r) {
     const Impl::RankState& rs = impl_->ranks[static_cast<std::size_t>(r)];
     world.machine(r).restore_core_state(rs.core);
-    world.machine(r).memory().restore_contents(rs.memory);
+    world.machine(r).memory().restore_image(rs.memory);
     world.process(r).heap().restore_state(rs.heap);
     world.process(r).restore_io_state(rs.io);
     world.process(r).channel().restore_state(rs.channel);
@@ -68,7 +74,8 @@ std::uint64_t Snapshot::size_bytes() const noexcept {
   std::uint64_t total = sizeof(Impl);
   for (const auto& rs : impl_->ranks) {
     total += sizeof(rs);
-    for (const auto& seg : rs.memory) total += seg.size();
+    for (const auto& seg : rs.memory.segments)
+      total += seg.blocks.size() * svm::WriteTrack::kBlock;
     total += rs.io.console.size() + rs.io.output.size();
     for (const auto& pkt : rs.channel.queue) total += pkt.size();
     total += rs.mpi.inbox.size() * sizeof(MsgHeader);

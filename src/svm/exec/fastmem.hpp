@@ -6,12 +6,16 @@
 // identical to Memory::locate, so every access traps exactly as the
 // interpreter's would.
 //
+// Every store is also noted in the owning Memory's write track for its
+// segment (through a pointer taken at refresh), exactly as Memory's own
+// stores are, so snapshots and restores see the same extents and change
+// flags under either engine.
+//
 // Validity: segment extents are fixed at Memory construction and the
-// backing storage never moves under privileged pokes (they write in place),
-// so a snapshot stays valid until the whole contents are replaced — which
-// `Memory::restore_contents` signals by bumping the code version. `valid()`
-// keys the snapshot to the owning Memory's address and code version;
-// engines re-`refresh()` when either changes (a text poke also bumps the
+// backing storage never moves (pokes and restores write in place), so a
+// snapshot stays valid for the Memory's lifetime. `valid()` keys it to the
+// owning Memory's address and code version anyway; engines re-`refresh()`
+// when either changes (a text poke or a text-changing restore bumps the
 // version, forcing a harmless early refresh alongside the repatch).
 #pragma once
 
@@ -36,6 +40,7 @@ class FastMem {
       segs_[i].base = e.base;
       segs_[i].size = e.size;
       segs_[i].data = m.segment_bytes(s).data();
+      segs_[i].track = &m.write_track(s);
       segs_[i].exec = s == Segment::kText || s == Segment::kLibText;
     }
     source_ = &m;
@@ -55,6 +60,7 @@ class FastMem {
     if (!s) return Trap::kBadAddress;
     if (s->exec) return Trap::kWriteProtected;
     std::memcpy(s->data + (addr - s->base), &value, 4);
+    s->track->note(addr - s->base, 4);
     return Trap::kNone;
   }
   Trap load8(Addr addr, std::uint8_t& out) const noexcept {
@@ -68,6 +74,7 @@ class FastMem {
     if (!s) return Trap::kBadAddress;
     if (s->exec) return Trap::kWriteProtected;
     s->data[addr - s->base] = static_cast<std::byte>(value);
+    s->track->note(addr - s->base, 1);
     return Trap::kNone;
   }
   Trap load64(Addr addr, std::uint64_t& out) const noexcept {
@@ -83,6 +90,7 @@ class FastMem {
     if (!s) return Trap::kBadAddress;
     if (s->exec) return Trap::kWriteProtected;
     std::memcpy(s->data + (addr - s->base), &value, 8);
+    s->track->note(addr - s->base, 8);
     return Trap::kNone;
   }
 
@@ -91,6 +99,7 @@ class FastMem {
     Addr base = 0;
     std::uint32_t size = 0;
     std::byte* data = nullptr;
+    WriteTrack* track = nullptr;
     bool exec = false;
   };
 

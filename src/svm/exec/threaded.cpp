@@ -13,8 +13,8 @@
 //  * syscalls run with pc still on the SYS word and may charge extra cycles;
 //    after a completed syscall the segment snapshot (exec/fastmem.hpp) and
 //    compiled stream are re-validated, since handlers poke memory through
-//    the privileged interface (pokes land in place; only a contents restore
-//    or text poke bumps the code version and forces a refresh);
+//    the privileged interface (pokes land in place; only a text poke or a
+//    text-changing restore bumps the code version and forces a refresh);
 //  * text flips between quanta are caught by the Memory code-version check
 //    on entry; the machine then repatches a private copy of the stream.
 //
@@ -190,7 +190,7 @@ sys_call: {
   if (state_ != RunState::kReady) return acc;
   // The handler may have poked memory (message delivery, heap growth
   // bookkeeping, checkpoint restore): pokes land in place, but a text
-  // poke or contents restore bumps the code version — re-validate the
+  // poke or text-changing restore bumps the code version — re-validate the
   // compiled stream and the segment snapshot. `d` may dangle after
   // refresh_code, so re-resolve pc.
   if (mem_.code_version() != code_version_seen_) code = refresh_code();

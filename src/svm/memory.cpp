@@ -1,10 +1,42 @@
 #include "svm/memory.hpp"
 
+#include <sys/mman.h>
+
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "util/status.hpp"
 
 namespace fsim::svm {
+
+namespace {
+
+/// Backing stores at least this large are mapped rather than calloc'd.
+constexpr std::uint32_t kMapBytes = 64u << 10;
+
+std::byte* allocate_zeroed(std::uint32_t size) {
+  void* p = nullptr;
+  if (size >= kMapBytes) {
+    p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) p = nullptr;
+  } else {
+    p = std::calloc(size, 1);
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return static_cast<std::byte*>(p);
+}
+
+}  // namespace
+
+void Memory::Release::operator()(std::byte* p) const noexcept {
+  if (size >= kMapBytes)
+    munmap(p, size);
+  else
+    std::free(p);
+}
 
 Memory::Memory(const std::array<std::uint32_t, kNumSegments>& image_sizes,
                const Config& config) {
@@ -16,7 +48,12 @@ Memory::Memory(const std::array<std::uint32_t, kNumSegments>& image_sizes,
   for (unsigned i = 0; i < kNumSegments; ++i) {
     extents_[i].base = bases[i];
     extents_[i].size = sizes[i];
-    bytes_[i].assign(sizes[i], std::byte{0});
+    if (sizes[i] == 0) continue;
+    bytes_[i] = std::unique_ptr<std::byte[], Release>(
+        allocate_zeroed(sizes[i]), Release{sizes[i]});
+    changed_[i].assign((sizes[i] + WriteTrack::kBlock - 1) / WriteTrack::kBlock,
+                       0);
+    track_[i].changed = changed_[i].data();
   }
   // The heap must never collide with the stack reservation.
   const auto& heap = extents_[static_cast<unsigned>(Segment::kHeap)];
@@ -36,7 +73,7 @@ std::byte* Memory::locate(Addr addr, unsigned size, Segment& seg) noexcept {
     const auto& e = extents_[i];
     if (e.contains(addr) && addr - e.base + size <= e.size) {
       seg = static_cast<Segment>(i);
-      return bytes_[i].data() + (addr - e.base);
+      return bytes_[i].get() + (addr - e.base);
     }
   }
   return nullptr;
@@ -77,6 +114,7 @@ Trap Memory::store32(Addr addr, std::uint32_t value) noexcept {
   if (seg == Segment::kText || seg == Segment::kLibText)
     return Trap::kWriteProtected;
   std::memcpy(p, &value, 4);
+  note_write(seg, p, 4);
   if (observer_) observer_->on_store(addr, 4, seg);
   return Trap::kNone;
 }
@@ -97,6 +135,7 @@ Trap Memory::store8(Addr addr, std::uint8_t value) noexcept {
   if (seg == Segment::kText || seg == Segment::kLibText)
     return Trap::kWriteProtected;
   *p = static_cast<std::byte>(value);
+  note_write(seg, p, 1);
   if (observer_) observer_->on_store(addr, 1, seg);
   return Trap::kNone;
 }
@@ -119,6 +158,7 @@ Trap Memory::store64(Addr addr, std::uint64_t value) noexcept {
   if (seg == Segment::kText || seg == Segment::kLibText)
     return Trap::kWriteProtected;
   std::memcpy(p, &value, 8);
+  note_write(seg, p, 8);
   if (observer_) observer_->on_store(addr, 8, seg);
   return Trap::kNone;
 }
@@ -136,7 +176,7 @@ bool Memory::poke8(Addr addr, std::uint8_t value) noexcept {
   std::byte* p = locate(addr, 1, seg);
   if (!p) return false;
   *p = static_cast<std::byte>(value);
-  note_poke(seg);
+  note_poke(seg, p, 1);
   return true;
 }
 
@@ -153,7 +193,7 @@ bool Memory::poke32(Addr addr, std::uint32_t value) noexcept {
   std::byte* p = locate(addr, 4, seg);
   if (!p) return false;
   std::memcpy(p, &value, 4);
-  note_poke(seg);
+  note_poke(seg, p, 4);
   return true;
 }
 
@@ -170,7 +210,7 @@ bool Memory::poke64(Addr addr, std::uint64_t value) noexcept {
   std::byte* p = locate(addr, 8, seg);
   if (!p) return false;
   std::memcpy(p, &value, 8);
-  note_poke(seg);
+  note_poke(seg, p, 8);
   return true;
 }
 
@@ -187,7 +227,7 @@ bool Memory::poke_span(Addr addr, std::span<const std::byte> in) noexcept {
   std::byte* p = locate(addr, static_cast<unsigned>(in.size()), seg);
   if (!p) return false;
   std::memcpy(p, in.data(), in.size());
-  note_poke(seg);
+  note_poke(seg, p, static_cast<unsigned>(in.size()));
   return true;
 }
 
@@ -198,11 +238,103 @@ bool Memory::flip_bit(Addr addr, unsigned bit) noexcept {
 }
 
 std::span<std::byte> Memory::segment_bytes(Segment s) noexcept {
-  return bytes_[static_cast<unsigned>(s)];
+  const unsigned i = static_cast<unsigned>(s);
+  return {bytes_[i].get(), extents_[i].size};
 }
 
 std::span<const std::byte> Memory::segment_bytes(Segment s) const noexcept {
-  return bytes_[static_cast<unsigned>(s)];
+  const unsigned i = static_cast<unsigned>(s);
+  return {bytes_[i].get(), extents_[i].size};
+}
+
+Memory::Image Memory::capture_image(const Image* base) {
+  // Stamps are unique across the process, so an image can only ever match
+  // the memory that took it, and only until its next capture or restore.
+  static std::atomic<std::uint64_t> next_stamp{0};
+  constexpr std::uint32_t kBlock = WriteTrack::kBlock;
+  const bool delta = base != nullptr && base->stamp == last_capture_ &&
+                     last_capture_ != 0;
+  Image image;
+  image.stamp = ++next_stamp;
+  for (unsigned i = 0; i < kNumSegments; ++i) {
+    const WrittenExtent& w = track_[i].written;
+    if (w.empty()) continue;
+    SegmentImage& out = image.segments[i];
+    out.written = w;
+    const std::uint32_t first = w.lo / kBlock;
+    const std::uint32_t last = (w.hi - 1) / kBlock;
+    out.blocks.reserve(last - first + 1);
+    const SegmentImage* prev = delta ? &base->segments[i] : nullptr;
+    const std::uint32_t prev_first =
+        prev && !prev->written.empty() ? prev->written.lo / kBlock : 0;
+    const std::uint32_t size = extents_[i].size;
+    std::uint8_t* changed = changed_[i].data();
+    for (std::uint32_t b = first; b <= last; ++b) {
+      if (prev && !changed[b] && b >= prev_first &&
+          b - prev_first < prev->blocks.size()) {
+        out.blocks.push_back(prev->blocks[b - prev_first]);
+        continue;
+      }
+      const std::uint32_t off = b * kBlock;
+      auto block = std::make_shared<ImageBlock>();  // zero tail past the end
+      std::memcpy(block->data(), bytes_[i].get() + off,
+                  std::min(kBlock, size - off));
+      out.blocks.push_back(std::move(block));
+    }
+    // Flags are only ever set inside the written extent.
+    std::memset(changed + first, 0, last - first + 1);
+  }
+  last_capture_ = image.stamp;
+  return image;
+}
+
+void Memory::restore_image(const Image& image) {
+  constexpr std::uint32_t kBlock = WriteTrack::kBlock;
+  for (unsigned i = 0; i < kNumSegments; ++i) {
+    std::byte* seg = bytes_[i].get();
+    const std::uint32_t size = extents_[i].size;
+    const WrittenExtent cur = track_[i].written;
+    const SegmentImage& img = image.segments[i];
+    const WrittenExtent next = img.written;
+    FSIM_CHECK(next.empty() || next.hi <= size);
+    const bool exec = static_cast<Segment>(i) == Segment::kText ||
+                      static_cast<Segment>(i) == Segment::kLibText;
+    bool changed = false;
+    // Zero what this memory wrote outside the image's extent: below it and
+    // above it (all of it when the image's extent is empty). Bytes outside
+    // both extents are already zero.
+    if (!cur.empty()) {
+      const std::uint32_t below =
+          next.empty() ? cur.hi : std::min(cur.hi, next.lo);
+      if (cur.lo < below) {
+        std::memset(seg + cur.lo, 0, below - cur.lo);
+        changed = true;
+      }
+      const std::uint32_t above =
+          next.empty() ? cur.hi : std::max(cur.lo, next.hi);
+      if (above < cur.hi) {
+        std::memset(seg + above, 0, cur.hi - above);
+        changed = true;
+      }
+    }
+    // Whole blocks: their bytes outside the extent are zero, like the
+    // memory there after the zeroing above.
+    std::uint32_t off = next.empty() ? 0 : next.lo / kBlock * kBlock;
+    for (const auto& block : img.blocks) {
+      const std::uint32_t n = std::min(kBlock, size - off);
+      // Text is compared first: an unchanged text keeps the machine's
+      // compiled stream valid, so only a restore that undoes a text flip
+      // makes the engines re-lower.
+      if (!exec || std::memcmp(seg + off, block->data(), n) != 0) {
+        std::memcpy(seg + off, block->data(), n);
+        changed = true;
+      }
+      off += kBlock;
+    }
+    if (exec && changed) ++code_version_;
+    track_[i].written = next;
+  }
+  last_capture_ = 0;  // the change flags no longer describe this memory
 }
 
 }  // namespace fsim::svm

@@ -359,6 +359,17 @@ int cmd_batch(const util::Cli& cli) {
   // app in --apps (default: the paper's three-application suite).
   std::vector<core::CampaignSpec> specs;
   if (cli.has("spec")) {
+    // The spec file defines every campaign; an inline campaign flag beside
+    // it would be silently ignored, so it is refused instead.
+    for (const char* flag : {"apps", "runs", "seed", "regions", "prune"}) {
+      if (cli.has(flag)) {
+        std::fprintf(stderr,
+                     "batch: --%s cannot be combined with --spec (the spec "
+                     "file sets it; only --engine overrides a spec)\n",
+                     flag);
+        return 1;
+      }
+    }
     specs = core::parse_batch_spec(util::read_file(cli.str("spec", "")));
     // --engine on the command line overrides whatever the spec file says —
     // engines are bit-identical, so this never changes the batch identity.

@@ -16,8 +16,10 @@
 # batch-throughput bench (which itself exits nonzero on digest divergence
 # between modes or engines) — optionally repeating the whole cycle under
 # AddressSanitizer. Without --asan, a focused ASan pass still builds the
-# CLI and drives the heap/stack scans (analyze + lint) on every app, and
-# builds svm_tests to run the op-table specs and the engine diff.
+# CLI and drives the heap/stack scans (analyze + lint) on every app,
+# builds svm_tests to run the op-table specs and the engine diff, and
+# builds simmpi_tests and core_tests to run the sparse snapshot and
+# golden fast-forward tests.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -130,13 +132,15 @@ else
   # analyze/lint, which construct both on every app) under
   # AddressSanitizer even when the full --asan cycle was not requested.
   # The op bodies both engines expand from svm/ops.def run there too: the
-  # per-op spec, the ISA round trips and the lockstep engine diff.
-  echo "=== ci: ASan heap/stack scan + op table gate ==="
+  # per-op spec, the ISA round trips and the lockstep engine diff. So do
+  # the snapshot and fast-forward tests: sparse snapshots copy and zero
+  # written-extent byte ranges, where an off-by-one would hide.
+  echo "=== ci: ASan heap/stack scan + op table + snapshot gate ==="
   scan_dir="$build-scan-asan"
   cmake -B "$scan_dir" -S "$root" -DFSIM_WERROR=ON \
         -DFSIM_SANITIZE=address > /dev/null
-  cmake --build "$scan_dir" -j "$jobs" --target fsim_cli svm_tests \
-        > /dev/null
+  cmake --build "$scan_dir" -j "$jobs" \
+        --target fsim_cli svm_tests simmpi_tests core_tests > /dev/null
   for app in wavetoy minimd atmo jacobi; do
     "$scan_dir/src/tools/fsim" analyze --app="$app" --runs=0 --quiet \
       > /dev/null
@@ -146,6 +150,9 @@ else
   "$scan_dir/tests/svm_tests" \
     --gtest_filter='Ops*:Isa*:*DisasmRoundTrip*:*EngineDiff*' > /dev/null
   echo "  op table specs and engine diff clean under AddressSanitizer"
+  "$scan_dir/tests/simmpi_tests" --gtest_filter='Snapshot*' > /dev/null
+  "$scan_dir/tests/core_tests" --gtest_filter='*FastForward*' > /dev/null
+  echo "  sparse snapshots and fast-forward clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

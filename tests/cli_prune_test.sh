@@ -3,7 +3,9 @@
 # off|full and reject anything else (the retired `regs` level and the
 # on|true|false spellings included) with a message listing the valid
 # values, and a valid level on `fsim run` attaches the static analysis and
-# reports the activation verdict. Spec files refuse a boolean "prune", and
+# reports the activation verdict. Spec files refuse a boolean "prune",
+# `fsim batch --spec` refuses the inline campaign flags the spec would
+# silently override (only --engine may accompany a spec), and
 # `fsim merge` refuses a result document that is not fsim-batch-v2. The
 # --engine flag's unknown spellings, including the retired `interpreter`
 # alias, are rejected the same way.
@@ -47,6 +49,24 @@ printf '%s\n' '{"prune": true, "runs": 1, "regions": ["regular"],' \
   ' "campaigns": [{"app": "wavetoy"}]}' > "$tmp/bool.json"
 expect_refusal 'batch --spec with "prune": true' "off|full" \
   "$fsim" batch --spec="$tmp/bool.json" --jobs=1 --quiet
+
+# A spec file defines every campaign: inline campaign flags beside it are
+# refused rather than ignored (a bad --prune value included), while
+# --engine still overrides the spec.
+printf '%s\n' '{"prune": "full", "runs": 1, "regions": ["regular"],' \
+  ' "campaigns": [{"app": "wavetoy"}]}' > "$tmp/spec.json"
+for flag in --apps=wavetoy --runs=7 --seed=3 --regions=regular --prune=off \
+            --prune=bogus; do
+  expect_refusal "batch --spec with $flag" "cannot be combined with --spec" \
+    "$fsim" batch --spec="$tmp/spec.json" --jobs=1 --quiet "$flag"
+done
+"$fsim" batch --spec="$tmp/spec.json" --jobs=1 --quiet --engine=interp \
+  --json --out="$tmp/spec_interp.json"
+grep -q '"runs_per_region": *1' "$tmp/spec_interp.json" || {
+  echo "cli_prune: batch --spec --engine=interp did not run the spec" >&2
+  exit 1
+}
+echo "  batch --spec --engine=interp accepted"
 
 # fsim merge reads fsim-batch-v2 result documents only.
 "$fsim" batch --apps=wavetoy --runs=1 --regions=regular --jobs=1 --quiet \

@@ -143,7 +143,7 @@ TEST(Fuzz, CampaignRepeatabilityUnderReuse) {
   cfg.regions = {Region::kRegularReg, Region::kMessage};
   cfg.seed = 4242;
   const CampaignResult a = run_campaign(app, cfg);
-  run_golden(app);  // interleaved unrelated work
+  run_golden(app, app.link());  // interleaved unrelated work
   const CampaignResult b = run_campaign(app, cfg);
   for (std::size_t i = 0; i < a.regions.size(); ++i)
     EXPECT_EQ(a.regions[i].counts, b.regions[i].counts);

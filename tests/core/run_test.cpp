@@ -23,7 +23,8 @@ apps::App small_wavetoy() {
 
 TEST(RunGolden, CollectsReferenceData) {
   apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const svm::Program program = app.link();
+  Golden g = run_golden(app, program);
   EXPECT_GT(g.instructions, 1000u);
   EXPECT_FALSE(g.baseline.empty());
   ASSERT_EQ(g.rx_bytes.size(), 4u);
@@ -33,8 +34,9 @@ TEST(RunGolden, CollectsReferenceData) {
 
 TEST(RunGolden, Deterministic) {
   apps::App app = small_wavetoy();
-  Golden a = run_golden(app);
-  Golden b = run_golden(app);
+  const svm::Program program = app.link();
+  Golden a = run_golden(app, program);
+  Golden b = run_golden(app, program);
   EXPECT_EQ(a.instructions, b.instructions);
   EXPECT_EQ(a.baseline, b.baseline);
   EXPECT_EQ(a.rx_bytes, b.rx_bytes);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "apps/app.hpp"
 #include "core/injector.hpp"
 #include "testutil.hpp"
@@ -134,9 +136,103 @@ TEST(Snapshot, SizeAccountsForMemory) {
   World w(program, app.world);
   for (int i = 0; i < 20; ++i) w.advance();
   const Snapshot snap = Snapshot::capture(w);
-  // At minimum the four address spaces (1 MiB heap + 64 KiB stack each).
-  EXPECT_GT(snap.size_bytes(), 4ull << 20);
+  // The snapshot holds every byte any rank wrote (its written extents)...
+  std::uint64_t written = 0;
+  for (int r = 0; r < w.size(); ++r)
+    for (unsigned s = 0; s < svm::kNumSegments; ++s)
+      written += w.machine(r).memory().written(static_cast<svm::Segment>(s)).size();
+  EXPECT_GT(written, 0u);
+  EXPECT_GE(snap.size_bytes(), written);
+  // ... and not the untouched arenas: the four 1 MiB heaps alone are 4 MiB.
+  EXPECT_LT(snap.size_bytes(), 1ull << 20);
   EXPECT_GT(snap.instructions(), 0u);
+}
+
+TEST(Snapshot, RestoreIntoDirtiedWorldMatchesFresh) {
+  // A World that ran on past the snapshot, to completion, and then took
+  // stray writes far outside anything the job touched must, once
+  // restored, be byte for byte the World that only ever ran to the
+  // snapshot — and run on identically.
+  apps::App app = small_app();
+  svm::Program program = app.link();
+  World fresh(program, app.world);
+  World dirty(program, app.world);
+  for (int i = 0; i < 45; ++i) {
+    fresh.advance();
+    dirty.advance();
+  }
+  ASSERT_EQ(fresh.status(), JobStatus::kRunning);
+  const Snapshot snap = Snapshot::capture(dirty);
+  ASSERT_EQ(dirty.run(1'000'000'000ull), JobStatus::kCompleted);
+  for (int r = 0; r < dirty.size(); ++r) {
+    svm::Memory& mem = dirty.machine(r).memory();
+    for (svm::Segment seg : {svm::Segment::kHeap, svm::Segment::kStack,
+                             svm::Segment::kBss, svm::Segment::kText}) {
+      const svm::SegmentExtent& e = mem.extent(seg);
+      if (e.size < 8) continue;
+      ASSERT_TRUE(mem.poke32(e.base, 0xdeadbeef));
+      ASSERT_TRUE(mem.poke32(e.end() - 4, 0xfeedface));
+    }
+  }
+
+  snap.restore(dirty);
+  ASSERT_EQ(dirty.global_instructions(), fresh.global_instructions());
+  for (int r = 0; r < dirty.size(); ++r) {
+    const svm::Memory& a = dirty.machine(r).memory();
+    const svm::Memory& b = fresh.machine(r).memory();
+    for (unsigned s = 0; s < svm::kNumSegments; ++s) {
+      const auto seg = static_cast<svm::Segment>(s);
+      const auto x = a.segment_bytes(seg);
+      const auto y = b.segment_bytes(seg);
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0)
+          << "rank " << r << " segment " << s;
+      EXPECT_EQ(a.written(seg).lo, b.written(seg).lo);
+      EXPECT_EQ(a.written(seg).hi, b.written(seg).hi);
+    }
+    EXPECT_EQ(dirty.machine(r).regs().pc, fresh.machine(r).regs().pc);
+  }
+  ASSERT_EQ(dirty.run(1'000'000'000ull), JobStatus::kCompleted);
+  ASSERT_EQ(fresh.run(1'000'000'000ull), JobStatus::kCompleted);
+  EXPECT_EQ(dirty.output(), fresh.output());
+  EXPECT_EQ(dirty.global_instructions(), fresh.global_instructions());
+}
+
+TEST(Snapshot, CaptureAgainstThePreviousOneEqualsAFullCapture) {
+  // A capture that shares the blocks not written since the previous
+  // snapshot must restore exactly what a capture copying every block
+  // restores: byte for byte, extent for extent, and run for run.
+  apps::App app = small_app();
+  svm::Program program = app.link();
+  World w(program, app.world);
+  for (int i = 0; i < 25; ++i) w.advance();
+  const Snapshot first = Snapshot::capture(w);
+  for (int i = 0; i < 25; ++i) w.advance();
+  ASSERT_EQ(w.status(), JobStatus::kRunning);
+  const Snapshot shared = Snapshot::capture(w, &first);
+  const Snapshot full = Snapshot::capture(w);
+
+  World a(program, app.world);
+  World b(program, app.world);
+  shared.restore(a);
+  full.restore(b);
+  for (int r = 0; r < a.size(); ++r) {
+    for (unsigned s = 0; s < svm::kNumSegments; ++s) {
+      const auto seg = static_cast<svm::Segment>(s);
+      const auto x = a.machine(r).memory().segment_bytes(seg);
+      const auto y = b.machine(r).memory().segment_bytes(seg);
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0)
+          << "rank " << r << " segment " << s;
+      EXPECT_EQ(a.machine(r).memory().written(seg).lo,
+                b.machine(r).memory().written(seg).lo);
+      EXPECT_EQ(a.machine(r).memory().written(seg).hi,
+                b.machine(r).memory().written(seg).hi);
+    }
+  }
+  ASSERT_EQ(a.run(1'000'000'000ull), JobStatus::kCompleted);
+  ASSERT_EQ(b.run(1'000'000'000ull), JobStatus::kCompleted);
+  EXPECT_EQ(a.output(), b.output());
+  EXPECT_EQ(a.global_instructions(), b.global_instructions());
 }
 
 TEST(Snapshot, RestoreToMismatchedWorldIsRejected) {
