@@ -427,9 +427,12 @@ wt_vr_gate:
     ldw r5, [r5]
     ldi r6, 0
     beq r5, r6, wt_vr_off
-    call wt_parse_options
-    call wt_print_usage
-wt_vr_off:
+)";
+  // The dead arm calls the first two cold helpers; an image built with
+  // fewer cold functions leaves out the calls to helpers it lacks.
+  if (cfg.cold_functions >= 1) os << "    call wt_parse_options\n";
+  if (cfg.cold_functions >= 2) os << "    call wt_print_usage\n";
+  os << R"(wt_vr_off:
     leave
     ret
 

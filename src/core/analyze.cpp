@@ -82,8 +82,8 @@ AnalyzeResult analyze_app(const apps::App& app, const AnalyzeConfig& config) {
   out.dead_register_mask = static_cast<std::uint16_t>(~live);
   out.dead_registers = static_cast<unsigned>(
       std::popcount(static_cast<unsigned>(out.dead_register_mask) & 0xffffu));
-  out.empty_fp_slots = analysis.fpdepth().always_empty_slots();
-  out.fp_max_depth = analysis.fpdepth().max_depth_bound();
+  out.empty_fp_slots = analysis.fpdepth_ctx().always_empty_slots();
+  out.fp_max_depth = analysis.fpdepth_ctx().max_depth_bound();
   out.text_entries = dicts[0]->size();
   out.text_dead = dicts[0]->dead_entries();
   out.data_entries = dicts[1]->size();

@@ -261,8 +261,33 @@ void BatchSession::run_points(const std::vector<Point>& points,
                               const std::vector<int>& owned,
                               const Notify& notify) {
   Impl& im = *impl_;
-  const bool observing = static_cast<bool>(notify);
-  auto notify_locked = [&](const RunEvent& ev) {
+
+  // One grid point on `worker`'s World: fold its outcome into acc[slot]
+  // and report it with the completion count `bump(slot)` returns.
+  auto run_point = [&](const Point& pt, std::size_t worker,
+                       std::vector<RegionResult>& acc, auto&& bump) {
+    const BatchEntry& e = im.entries[pt.campaign];
+    const CampaignPlan& plan = im.plans[pt.campaign];
+    const Region region = e.config.regions[pt.region_index];
+    const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
+    const RunOutcome out = run_injected(
+        e.app, plan.program, im.campaigns[pt.campaign].golden, region,
+        plan.dicts[static_cast<unsigned>(region)].get(),
+        run_seed_for(e.config, region, pt.run_index), plan.ctx,
+        &im.world_for(worker, pt.campaign));
+    accumulate_outcome(acc[slot], out);
+    const int d = bump(slot);
+    if (!notify) return;
+    RunEvent ev;
+    ev.campaign = pt.campaign;
+    ev.app = &e.app.name;
+    ev.region = region;
+    ev.slot = slot;
+    ev.run_index = pt.run_index;
+    ev.grid_index = pt.grid_index;
+    ev.outcome = &out;
+    ev.done = d;
+    ev.total = owned[slot];
     std::lock_guard<std::mutex> lock(im.observer_mu);
     notify(ev);
   };
@@ -270,33 +295,8 @@ void BatchSession::run_points(const std::vector<Point>& points,
   if (!im.pool) {
     // Serial walk in the order given — callers passing enumeration order
     // get the exact legacy execution order.
-    for (const Point& pt : points) {
-      const BatchEntry& e = im.entries[pt.campaign];
-      const CampaignPlan& plan = im.plans[pt.campaign];
-      const Region region = e.config.regions[pt.region_index];
-      const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
-      const FaultDictionary* dict =
-          plan.dicts[static_cast<unsigned>(region)].get();
-      const RunOutcome out = run_injected(
-          e.app, plan.program, im.campaigns[pt.campaign].golden, region, dict,
-          run_seed_for(e.config, region, pt.run_index), plan.ctx,
-          &im.world_for(0, pt.campaign));
-      accumulate_outcome(totals[slot], out);
-      const int d = ++done[slot];
-      if (observing) {
-        RunEvent ev;
-        ev.campaign = pt.campaign;
-        ev.app = &e.app.name;
-        ev.region = region;
-        ev.slot = slot;
-        ev.run_index = pt.run_index;
-        ev.grid_index = pt.grid_index;
-        ev.outcome = &out;
-        ev.done = d;
-        ev.total = owned[slot];
-        notify_locked(ev);
-      }
-    }
+    for (const Point& pt : points)
+      run_point(pt, 0, totals, [&](std::size_t slot) { return ++done[slot]; });
     return;
   }
 
@@ -313,35 +313,12 @@ void BatchSession::run_points(const std::vector<Point>& points,
     adone[s].store(done[s], std::memory_order_relaxed);
 
   for (const Point& pt : points) {
-    const apps::App* app = &im.entries[pt.campaign].app;
-    const CampaignConfig& cc = im.entries[pt.campaign].config;
-    const CampaignPlan* plan = &im.plans[pt.campaign];
-    const Golden* golden = &im.campaigns[pt.campaign].golden;
-    const Region region = cc.regions[pt.region_index];
-    const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
-    const FaultDictionary* dict =
-        plan->dicts[static_cast<unsigned>(region)].get();
-    const std::uint64_t run_seed = run_seed_for(cc, region, pt.run_index);
-    pool.submit([&, app, plan, golden, pt, slot, region, dict, run_seed] {
-      const int w = util::ThreadPool::current_worker();
-      const RunOutcome out =
-          run_injected(*app, plan->program, *golden, region, dict, run_seed,
-                       plan->ctx,
-                       &im.world_for(static_cast<std::size_t>(w), pt.campaign));
-      accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
-      if (observing) {
-        RunEvent ev;
-        ev.campaign = pt.campaign;
-        ev.app = &app->name;
-        ev.region = region;
-        ev.slot = slot;
-        ev.run_index = pt.run_index;
-        ev.grid_index = pt.grid_index;
-        ev.outcome = &out;
-        ev.done = 1 + adone[slot].fetch_add(1, std::memory_order_relaxed);
-        ev.total = owned[slot];
-        notify_locked(ev);
-      }
+    pool.submit([&, pt] {
+      const auto w =
+          static_cast<std::size_t>(util::ThreadPool::current_worker());
+      run_point(pt, w, partials[w], [&](std::size_t slot) {
+        return 1 + adone[slot].fetch_add(1, std::memory_order_relaxed);
+      });
     });
   }
   pool.wait();

@@ -113,17 +113,12 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       // provably empty at the paused pc (anchored depth bound), the flipped
       // bits sit behind a kEmpty tag — reads see QNaN regardless and the
       // only empty->occupied transition is a full 64-bit overwrite — so the
-      // fault is provably inactive. TWD/special-register flips stay
-      // kUnknown: they corrupt the control state the proof relies on.
+      // fault is provably inactive, credited to the fp-ctx rung.
+      // TWD/special-register flips stay kUnknown: they corrupt the control
+      // state the proof relies on.
       if (flip.data_slot && analysis_ != nullptr &&
           analysis_->covers(m.regs().pc)) {
-        // Ladder attribution: credit the context-insensitive proof first;
-        // the context-sensitive rung gets only the slots it alone decides.
         if (analysis_->fpu_slot_dead_at(m.regs().pc, *flip.data_slot)) {
-          fault.activation = Activation::kDead;
-          fault.rung = PruneRung::kBase;
-        } else if (analysis_->fpu_slot_dead_ctx(m.regs().pc,
-                                                *flip.data_slot)) {
           fault.activation = Activation::kDead;
           fault.rung = PruneRung::kFpCtx;
         } else {

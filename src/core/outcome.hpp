@@ -139,9 +139,9 @@ constexpr const char* activation_name(Activation a) noexcept {
 /// the *marginal* coverage each precision step adds.
 enum class PruneRung : std::uint8_t {
   kNone = 0,     // run was not pruned
-  kBase,         // PR-2/4 proofs: register liveness, context-insensitive FP
-                 // depth, text reachability, whole-run memory liveness
-  kFpCtx,        // context-sensitive FP-stack depth (summary-composed)
+  kBase,         // register liveness, text reachability, whole-run memory
+                 // liveness
+  kFpCtx,        // FP-stack depth: every empty-slot FP proof
   kTimeWindow,   // time-windowed memory liveness (dead from this pc on)
   kValueRange,   // value-range refined reachability
   kHeap,         // allocation-site chunk liveness (write-only / read-free

@@ -2,10 +2,6 @@
 
 namespace fsim::svm::analysis {
 
-bool ProgramAnalysis::fpu_slot_dead_ctx(Addr pc, unsigned phys) const noexcept {
-  return fpdepth_ctx_.slot_empty_at(pc, phys);
-}
-
 bool ProgramAnalysis::data_byte_dead_at(Addr addr, Addr pc) const noexcept {
   return timewindow_.dead_at(addr, pc);
 }

@@ -5,7 +5,6 @@
 #pragma once
 
 #include "svm/analysis/cfg.hpp"
-#include "svm/analysis/fpdepth.hpp"
 #include "svm/analysis/fpdepth_ctx.hpp"
 #include "svm/analysis/heapliveness.hpp"
 #include "svm/analysis/lint.hpp"
@@ -23,7 +22,6 @@ class ProgramAnalysis {
       : cfg_(program),
         liveness_(cfg_, DefUseModel::kSound),
         symbol_access_(scan_symbol_access(cfg_, &liveness_)),
-        fpdepth_(cfg_),
         fpdepth_ctx_(cfg_),
         memliveness_(cfg_, symbol_access_),
         timewindow_(cfg_, symbol_access_, memliveness_),
@@ -33,7 +31,6 @@ class ProgramAnalysis {
 
   const Cfg& cfg() const noexcept { return cfg_; }
   const Liveness& liveness() const noexcept { return liveness_; }
-  const FpDepth& fpdepth() const noexcept { return fpdepth_; }
   const FpDepthCtx& fpdepth_ctx() const noexcept { return fpdepth_ctx_; }
   const MemLiveness& memliveness() const noexcept { return memliveness_; }
   const TimeWindow& timewindow() const noexcept { return timewindow_; }
@@ -52,16 +49,10 @@ class ProgramAnalysis {
 
   /// True if physical FP slot `phys` is provably empty whenever the machine
   /// is about to execute `pc` — a data-bit fault there is masked behind the
-  /// tag word (see fpdepth.hpp for the anchor invariant).
+  /// tag word (see fpdepth_ctx.hpp for the anchor invariant).
   bool fpu_slot_dead_at(Addr pc, unsigned phys) const noexcept {
-    return fpdepth_.slot_empty_at(pc, phys);
+    return fpdepth_ctx_.slot_empty_at(pc, phys);
   }
-
-  /// True if slot `phys` is provably empty at `pc` under the
-  /// context-sensitive depth analysis (summary-composed call contexts).
-  /// Strictly more precise than `fpu_slot_dead_at`; callers wanting ladder
-  /// attribution should query the insensitive proof first.
-  bool fpu_slot_dead_ctx(Addr pc, unsigned phys) const noexcept;
 
   /// True if a fault in the data/BSS byte at `addr` is provably masked:
   /// the owning symbol is never read and never escapes, at any instant.
@@ -121,7 +112,6 @@ class ProgramAnalysis {
   Cfg cfg_;
   Liveness liveness_;
   std::map<Addr, SymbolAccess> symbol_access_;
-  FpDepth fpdepth_;
   FpDepthCtx fpdepth_ctx_;
   MemLiveness memliveness_;
   TimeWindow timewindow_;

@@ -7,7 +7,7 @@
 //   * a call block flows into its callee's entry (NOT its return site —
 //     the continuation is reached through the callee's rets);
 //   * a ret block flows to every return site of every function containing
-//     it (context-insensitive, like fpdepth);
+//     it (context-insensitive, like liveness);
 //   * indirect transfers flow to every address-taken block;
 //   * blocks that leave the modeled world (unknown callees, falling off
 //     the segment) are `unbounded`: anything could execute afterwards;

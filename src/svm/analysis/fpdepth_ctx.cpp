@@ -13,20 +13,26 @@ namespace {
 
 constexpr int kMaxDepth = static_cast<int>(kNumFpr);
 
+/// Canonical "know nothing" state: reachable, but no slot proof possible.
 constexpr DepthBounds top_state() noexcept {
   return DepthBounds{0, static_cast<std::int8_t>(kMaxDepth), false, true};
 }
 
+/// A depth clamped into [lo, kMaxDepth].
+std::int8_t clamp_depth(int d, int lo = 0) noexcept {
+  return static_cast<std::int8_t>(std::clamp(d, lo, kMaxDepth));
+}
+
+/// Transfer one instruction's effect. Any possible underflow or overflow
+/// breaks the anchor, and unanchored states widen to TOP (TOP is a fixed
+/// point of this function, so blocks entered mid-way through an indirect
+/// jump are covered by seeding TOP at their head).
 DepthBounds apply(DepthBounds s, const RegEffect& e) noexcept {
-  if (e.fp_needs > s.lo) s.anchored = false;
-  int lo = s.lo + e.fp_delta;
-  int hi = s.hi + e.fp_delta;
-  if (hi > kMaxDepth) s.anchored = false;
-  lo = std::clamp(lo, 0, kMaxDepth);
-  hi = std::clamp(hi, 0, kMaxDepth);
+  if (e.fp_needs > s.lo) s.anchored = false;  // possible underflow
+  if (s.hi + e.fp_delta > kMaxDepth) s.anchored = false;  // possible overflow
   if (!s.anchored) return top_state();
-  s.lo = static_cast<std::int8_t>(lo);
-  s.hi = static_cast<std::int8_t>(hi);
+  s.lo = clamp_depth(s.lo + e.fp_delta);
+  s.hi = clamp_depth(s.hi + e.fp_delta);
   return s;
 }
 
@@ -34,17 +40,7 @@ DepthBounds join(const DepthBounds& a, const DepthBounds& b) noexcept {
   if (!a.reachable) return b;
   if (!b.reachable) return a;
   if (!(a.anchored && b.anchored)) return top_state();
-  DepthBounds m;
-  m.lo = std::min(a.lo, b.lo);
-  m.hi = std::max(a.hi, b.hi);
-  m.anchored = true;
-  m.reachable = true;
-  return m;
-}
-
-bool same(const DepthBounds& a, const DepthBounds& b) noexcept {
-  return a.lo == b.lo && a.hi == b.hi && a.anchored == b.anchored &&
-         a.reachable == b.reachable;
+  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi), true, true};
 }
 
 /// Relative depth interval during summary construction (entry = 0; can dip
@@ -54,55 +50,75 @@ struct Rel {
   int lo = 0, hi = 0;
 };
 
-/// Map from function entry block id to function index.
-std::unordered_map<std::uint32_t, std::uint32_t> entry_map(const Cfg& cfg) {
-  std::unordered_map<std::uint32_t, std::uint32_t> m;
-  for (std::uint32_t f = 0; f < cfg.functions().size(); ++f) {
-    const std::uint32_t e = cfg.functions()[f].entry;
-    if (e != Cfg::kNoBlock) m.emplace(e, f);
-  }
-  return m;
-}
-
-/// One interior (intraprocedural) absolute fixpoint of `fn` from
-/// `entry_state`, applying callee summaries at call terminators. Reports
-/// the pre-call state of every resolvable call site through `callee_seen`
-/// and, when `instr_in` is given, joins the per-instruction states into it.
-void interior_walk(
-    const Cfg& cfg, const std::vector<FpDepthCtx::FnSummary>& summaries,
-    const std::unordered_map<std::uint32_t, std::uint32_t>& fn_of_entry,
-    bool has_indirect, const Cfg::Function& fn, const DepthBounds& entry_state,
-    std::vector<std::pair<std::uint32_t, DepthBounds>>* callee_seen,
-    std::vector<DepthBounds>* instr_in) {
+/// Block id -> index into `fn.blocks` (the intraprocedural closure).
+std::unordered_map<std::uint32_t, std::uint32_t> local_index(
+    const Cfg::Function& fn) {
   std::unordered_map<std::uint32_t, std::uint32_t> local;
   local.reserve(fn.blocks.size());
   for (std::uint32_t i = 0; i < fn.blocks.size(); ++i)
     local.emplace(fn.blocks[i], i);
+  return local;
+}
+
+}  // namespace
+
+FpDepthCtx::FpDepthCtx(const Cfg& cfg)
+    : cfg_(&cfg),
+      summaries_(cfg.functions().size()),
+      entry_in_(cfg.functions().size()),
+      instr_in_(cfg.num_instructions()) {
+  for (std::uint32_t f = 0; f < cfg.functions().size(); ++f)
+    if (cfg.functions()[f].entry != Cfg::kNoBlock)
+      fn_of_entry_.emplace(cfg.functions()[f].entry, f);
+  for (std::uint32_t id = 0; id < cfg.blocks().size(); ++id) {
+    const Block& b = cfg.block(id);
+    if (cfg.reachable_block(id) && (b.term == FlowKind::kIndirectCall ||
+                                    b.term == FlowKind::kIndirectJump)) {
+      has_indirect_ = true;
+      break;
+    }
+  }
+  summarize_all();
+  solve_entries();
+  for (std::uint32_t f = 0; f < cfg.functions().size(); ++f)
+    if (entry_in_[f].reachable) walk(f, nullptr, true);
+  diagnose();
+}
+
+std::uint32_t FpDepthCtx::callee_of(const Block& b) const {
+  if (b.call_target < 0 || b.call_outside || b.bad_target) return Cfg::kNoBlock;
+  auto it = fn_of_entry_.find(static_cast<std::uint32_t>(b.call_target));
+  return it == fn_of_entry_.end() ? Cfg::kNoBlock : it->second;
+}
+
+void FpDepthCtx::walk(
+    std::uint32_t f,
+    std::vector<std::pair<std::uint32_t, DepthBounds>>* callee_seen,
+    bool record) {
+  const Cfg& cfg = *cfg_;
+  const Cfg::Function& fn = cfg.functions()[f];
+  const auto local = local_index(fn);
   std::vector<DepthBounds> in(fn.blocks.size());
 
   std::deque<std::uint32_t> work;
   std::vector<bool> queued(fn.blocks.size(), false);
-  auto enqueue = [&](std::uint32_t li) {
-    if (!queued[li]) {
-      queued[li] = true;
-      work.push_back(li);
-    }
-  };
   auto propagate = [&](std::uint32_t block_id, DepthBounds s) {
     auto it = local.find(block_id);
     if (it == local.end()) return;  // outside the intraprocedural closure
     s.reachable = true;
     const DepthBounds merged = join(in[it->second], s);
-    if (!same(merged, in[it->second])) {
-      in[it->second] = merged;
-      enqueue(it->second);
+    if (merged == in[it->second]) return;
+    in[it->second] = merged;
+    if (!queued[it->second]) {
+      queued[it->second] = true;
+      work.push_back(it->second);
     }
   };
 
-  propagate(fn.entry, entry_state);
-  // Mirror fpdepth.cpp: with a reachable indirect transfer anywhere, any
-  // materialised code address can be entered at arbitrary depth.
-  if (has_indirect) {
+  propagate(fn.entry, entry_in_[f]);
+  // With a reachable indirect transfer anywhere, any materialised code
+  // address can be entered at arbitrary depth.
+  if (has_indirect_) {
     for (Addr a : cfg.materialized()) {
       const std::uint32_t id = cfg.block_index_of(a);
       if (id != Cfg::kNoBlock) propagate(id, top_state());
@@ -118,11 +134,8 @@ void interior_walk(
     bool aborted = false;
     for (Addr pc = b.begin; pc < b.end; pc += 4) {
       const std::uint32_t word = cfg.word_at(pc);
-      if (instr_in != nullptr) {
-        const std::uint32_t index = cfg.instr_index(pc);
-        if (index != Cfg::kNoBlock)
-          (*instr_in)[index] = join((*instr_in)[index], s);
-      }
+      const std::uint32_t i = record ? cfg.instr_index(pc) : Cfg::kNoBlock;
+      if (i != Cfg::kNoBlock) instr_in_[i] = join(instr_in_[i], s);
       if (aborting_sys(decode(word))) {
         aborted = true;
         break;
@@ -133,37 +146,23 @@ void interior_walk(
 
     switch (b.term) {
       case FlowKind::kCall: {
-        std::uint32_t callee = Cfg::kNoBlock;
-        if (b.call_target >= 0 && !b.call_outside && !b.bad_target) {
-          auto it = fn_of_entry.find(static_cast<std::uint32_t>(b.call_target));
-          if (it != fn_of_entry.end()) callee = it->second;
-        }
+        const std::uint32_t callee = callee_of(b);
         if (callee == Cfg::kNoBlock) {
           // Unknown callee: assume nothing about the returned depth.
           for (std::uint32_t t : b.succ) propagate(t, top_state());
           break;
         }
         if (callee_seen != nullptr) callee_seen->emplace_back(callee, s);
-        const FpDepthCtx::FnSummary& g = summaries[callee];
+        const FnSummary& g = summaries_[callee];
         DepthBounds post = top_state();
-        bool returns = true;
-        if (s.anchored && g.valid) {
-          if (g.needs > s.lo || s.hi + g.peak > kMaxDepth) {
-            // Possible under/overflow inside the callee at this context.
-            post = top_state();
-          } else if (!g.has_ret) {
-            returns = false;  // callee never returns (aborts on every path)
-          } else {
-            post.lo = static_cast<std::int8_t>(
-                std::clamp(s.lo + g.dlo, 0, kMaxDepth));
-            post.hi = static_cast<std::int8_t>(
-                std::clamp(s.hi + g.dhi, 0, kMaxDepth));
-            post.anchored = true;
-            post.reachable = true;
-          }
+        if (s.anchored && g.valid && g.needs <= s.lo &&
+            s.hi + g.peak <= kMaxDepth) {
+          // No under/overflow inside the callee at this context.
+          if (!g.has_ret) break;  // callee never returns (aborts on every path)
+          post = {clamp_depth(s.lo + g.dlo), clamp_depth(s.hi + g.dhi), true,
+                  true};
         }
-        if (returns)
-          for (std::uint32_t t : b.succ) propagate(t, post);
+        for (std::uint32_t t : b.succ) propagate(t, post);
         break;
       }
       case FlowKind::kIndirectCall:
@@ -181,26 +180,6 @@ void interior_walk(
   }
 }
 
-}  // namespace
-
-FpDepthCtx::FpDepthCtx(const Cfg& cfg)
-    : cfg_(&cfg),
-      summaries_(cfg.functions().size()),
-      entry_in_(cfg.functions().size()),
-      instr_in_(cfg.num_instructions()) {
-  for (std::uint32_t id = 0; id < cfg.blocks().size(); ++id) {
-    const Block& b = cfg.block(id);
-    if (cfg.reachable_block(id) && (b.term == FlowKind::kIndirectCall ||
-                                    b.term == FlowKind::kIndirectJump)) {
-      has_indirect_ = true;
-      break;
-    }
-  }
-  summarize_all();
-  solve_entries();
-  finalize();
-}
-
 void FpDepthCtx::summarize_all() {
   // 0 = unvisited, 1 = on the DFS stack (recursion), 2 = done.
   std::vector<std::uint8_t> state(cfg_->functions().size(), 0);
@@ -216,18 +195,12 @@ bool FpDepthCtx::summarize(std::uint32_t fn_idx,
 
   const Cfg& cfg = *cfg_;
   const Cfg::Function& fn = cfg.functions()[fn_idx];
-  const auto fn_of_entry = entry_map(cfg);
-
-  std::unordered_map<std::uint32_t, std::uint32_t> local;
-  local.reserve(fn.blocks.size());
-  for (std::uint32_t i = 0; i < fn.blocks.size(); ++i)
-    local.emplace(fn.blocks[i], i);
+  const auto local = local_index(fn);
 
   // Resolve callee summaries first (DFS); any unresolvable or invalid
   // callee, indirect transfer or fall-off-the-end makes this function
-  // unsummarizable — callers then fall back to the insensitive analysis.
+  // unsummarizable — its return sites then get unanchored TOP.
   bool ok = fn.entry != Cfg::kNoBlock;
-  std::unordered_map<std::uint32_t, std::uint32_t> callee_of_block;
   for (std::uint32_t id : fn.blocks) {
     const Block& b = cfg.block(id);
     if (b.falls_off_end) ok = false;
@@ -237,15 +210,8 @@ bool FpDepthCtx::summarize(std::uint32_t fn_idx,
         ok = false;
         break;
       case FlowKind::kCall: {
-        std::uint32_t callee = Cfg::kNoBlock;
-        if (b.call_target >= 0 && !b.call_outside && !b.bad_target) {
-          auto it = fn_of_entry.find(static_cast<std::uint32_t>(b.call_target));
-          if (it != fn_of_entry.end()) callee = it->second;
-        }
-        if (callee == Cfg::kNoBlock || !summarize(callee, state))
-          ok = false;
-        else
-          callee_of_block.emplace(id, callee);
+        const std::uint32_t callee = callee_of(b);
+        if (callee == Cfg::kNoBlock || !summarize(callee, state)) ok = false;
         break;
       }
       default:
@@ -259,31 +225,23 @@ bool FpDepthCtx::summarize(std::uint32_t fn_idx,
     // Intraprocedural fixpoint over *relative* depth intervals. Entry
     // depth is unknown here, so the interval is unclamped and may dip
     // below zero; anything outside [-8, 8] is dynamically impossible for
-    // a balanced function and voids the summary.
+    // a balanced function and voids the summary. Every call block now
+    // names a callee with a valid summary.
     std::vector<Rel> in(fn.blocks.size());
     std::deque<std::uint32_t> work;
     std::vector<bool> queued(fn.blocks.size(), false);
-    auto enqueue = [&](std::uint32_t li) {
-      if (!queued[li]) {
-        queued[li] = true;
-        work.push_back(li);
-      }
-    };
     auto propagate = [&](std::uint32_t block_id, Rel s) {
       auto it = local.find(block_id);
       if (it == local.end()) return;
       Rel& cur = in[it->second];
-      if (!cur.reach) {
-        cur = s;
-        cur.reach = true;
-        enqueue(it->second);
-        return;
-      }
-      const int lo = std::min(cur.lo, s.lo), hi = std::max(cur.hi, s.hi);
-      if (lo != cur.lo || hi != cur.hi) {
-        cur.lo = lo;
-        cur.hi = hi;
-        enqueue(it->second);
+      const Rel next =
+          cur.reach ? Rel{true, std::min(cur.lo, s.lo), std::max(cur.hi, s.hi)}
+                    : Rel{true, s.lo, s.hi};
+      if (cur.reach && next.lo == cur.lo && next.hi == cur.hi) return;
+      cur = next;
+      if (!queued[it->second]) {
+        queued[it->second] = true;
+        work.push_back(it->second);
       }
     };
     propagate(fn.entry, Rel{true, 0, 0});
@@ -314,12 +272,7 @@ bool FpDepthCtx::summarize(std::uint32_t fn_idx,
       if (!ok || aborted) continue;
 
       if (b.term == FlowKind::kCall) {
-        auto it = callee_of_block.find(fn.blocks[li]);
-        if (it == callee_of_block.end()) {
-          ok = false;
-          continue;
-        }
-        const FnSummary& g = summaries_[it->second];
+        const FnSummary& g = summaries_[callee_of(b)];
         if (!g.has_ret) continue;  // the callee never returns
         s.lo += g.dlo;
         s.hi += g.dhi;
@@ -329,14 +282,9 @@ bool FpDepthCtx::summarize(std::uint32_t fn_idx,
         }
         for (std::uint32_t t : b.succ) propagate(t, s);
       } else if (b.term == FlowKind::kRet) {
-        if (!ret_seen) {
-          ret_seen = true;
-          rlo = s.lo;
-          rhi = s.hi;
-        } else {
-          rlo = std::min(rlo, s.lo);
-          rhi = std::max(rhi, s.hi);
-        }
+        rlo = ret_seen ? std::min(rlo, s.lo) : s.lo;
+        rhi = ret_seen ? std::max(rhi, s.hi) : s.hi;
+        ret_seen = true;
       } else if (b.term == FlowKind::kIllegal) {
         // traps; nothing flows past it
       } else {
@@ -362,21 +310,17 @@ bool FpDepthCtx::summarize(std::uint32_t fn_idx,
           peak = std::max(peak, s.hi);
         }
         if (b.term == FlowKind::kCall) {
-          auto it = callee_of_block.find(fn.blocks[li]);
-          if (it != callee_of_block.end()) {
-            const FnSummary& g = summaries_[it->second];
-            needs = std::max(needs, g.needs - s.lo);
-            peak = std::max(peak, s.hi + g.peak);
-          }
+          const FnSummary& g = summaries_[callee_of(b)];
+          needs = std::max(needs, g.needs - s.lo);
+          peak = std::max(peak, s.hi + g.peak);
         }
       }
       sum.valid = true;
       sum.has_ret = ret_seen;
-      sum.dlo = static_cast<std::int8_t>(std::clamp(rlo, -kMaxDepth, kMaxDepth));
-      sum.dhi = static_cast<std::int8_t>(std::clamp(rhi, -kMaxDepth, kMaxDepth));
-      sum.needs =
-          static_cast<std::int8_t>(std::clamp(needs, 0, kMaxDepth));
-      sum.peak = static_cast<std::int8_t>(std::clamp(peak, 0, kMaxDepth));
+      sum.dlo = clamp_depth(rlo, -kMaxDepth);
+      sum.dhi = clamp_depth(rhi, -kMaxDepth);
+      sum.needs = clamp_depth(needs);
+      sum.peak = clamp_depth(peak);
     }
   }
 
@@ -388,7 +332,6 @@ bool FpDepthCtx::summarize(std::uint32_t fn_idx,
 void FpDepthCtx::solve_entries() {
   const Cfg& cfg = *cfg_;
   if (cfg.functions().empty() || cfg.entry_block() == Cfg::kNoBlock) return;
-  const auto fn_of_entry = entry_map(cfg);
 
   std::deque<std::uint32_t> work;
   std::vector<bool> queued(cfg.functions().size(), false);
@@ -399,7 +342,8 @@ void FpDepthCtx::solve_entries() {
     }
   };
 
-  if (auto it = fn_of_entry.find(cfg.entry_block()); it != fn_of_entry.end()) {
+  if (auto it = fn_of_entry_.find(cfg.entry_block());
+      it != fn_of_entry_.end()) {
     entry_in_[it->second] = DepthBounds{0, 0, true, true};
     enqueue(it->second);
   }
@@ -416,13 +360,11 @@ void FpDepthCtx::solve_entries() {
     work.pop_front();
     queued[f] = false;
     std::vector<std::pair<std::uint32_t, DepthBounds>> callees;
-    interior_walk(cfg, summaries_, fn_of_entry, has_indirect_,
-                  cfg.functions()[f], entry_in_[f], &callees, nullptr);
+    walk(f, &callees, false);
     for (auto& [g, s] : callees) {
-      DepthBounds seed = s;
-      seed.reachable = true;
-      const DepthBounds merged = join(entry_in_[g], seed);
-      if (!same(merged, entry_in_[g])) {
+      s.reachable = true;
+      const DepthBounds merged = join(entry_in_[g], s);
+      if (!(merged == entry_in_[g])) {
         entry_in_[g] = merged;
         enqueue(g);
       }
@@ -430,14 +372,89 @@ void FpDepthCtx::solve_entries() {
   }
 }
 
-void FpDepthCtx::finalize() {
+void FpDepthCtx::diagnose() {
   const Cfg& cfg = *cfg_;
-  const auto fn_of_entry = entry_map(cfg);
-  for (std::uint32_t f = 0; f < cfg.functions().size(); ++f) {
-    if (!entry_in_[f].reachable) continue;
-    interior_walk(cfg, summaries_, fn_of_entry, has_indirect_,
-                  cfg.functions()[f], entry_in_[f], nullptr, &instr_in_);
+  int max_hi = 0;
+  bool all_anchored = true;
+  bool any_reachable = false;
+
+  for (const Block& b : cfg.blocks()) {
+    bool issued = false;  // depths past a block's first issue are junk
+    for (Addr pc = b.begin; pc < b.end; pc += 4) {
+      const std::uint32_t index = cfg.instr_index(pc);
+      if (index == Cfg::kNoBlock || !instr_in_[index].reachable) break;
+      const DepthBounds s = instr_in_[index];
+      any_reachable = true;
+      if (s.anchored) {
+        max_hi = std::max(max_hi, static_cast<int>(s.hi));
+      } else {
+        all_anchored = false;
+      }
+      const std::uint32_t word = cfg.word_at(pc);
+      const Instr in = decode(word);
+      if (aborting_sys(in)) break;
+      if (!s.anchored || issued) continue;
+      const RegEffect e = instr_effect(word, DefUseModel::kSound);
+      const std::string op = mnemonic(in.op);
+      issued = true;
+      if (e.fp_needs > s.hi) {
+        issues_.push_back(
+            {true, "fp-static-underflow", pc,
+             op + " needs FP-stack depth " + std::to_string(e.fp_needs) +
+                 " but every reaching path has at most " +
+                 std::to_string(s.hi)});
+      } else if (s.lo + e.fp_delta > kMaxDepth) {
+        issues_.push_back(
+            {true, "fp-static-overflow", pc,
+             op + " pushes the FP stack to " +
+                 std::to_string(s.lo + e.fp_delta) + " slots on every " +
+                 "reaching path (absolute depth, including callers)"});
+      } else if (s.hi + e.fp_delta > kMaxDepth) {
+        issues_.push_back(
+            {false, "fp-static-maybe-overflow", pc,
+             op + " may push the FP stack to " +
+                 std::to_string(s.hi + e.fp_delta) + " slots (entry depth [" +
+                 std::to_string(s.lo) + "," + std::to_string(s.hi) + "])"});
+      } else {
+        issued = false;
+      }
+    }
   }
+
+  // A function whose reachable, anchored entry depth differs across call
+  // sites is suspicious if it actually touches the FP stack: the same body
+  // runs at different absolute depths, so its headroom depends on the
+  // caller.
+  auto touches_fp = [&](const Cfg::Function& fn) {
+    for (std::uint32_t bid : fn.blocks) {
+      for (Addr pc = cfg.block(bid).begin; pc < cfg.block(bid).end; pc += 4) {
+        const RegEffect e = instr_effect(cfg.word_at(pc), DefUseModel::kSound);
+        if (e.fp_delta != 0 || e.fp_needs != 0) return true;
+      }
+    }
+    return false;
+  };
+  for (std::uint32_t f = 0; f < cfg.functions().size(); ++f) {
+    const Cfg::Function& fn = cfg.functions()[f];
+    const DepthBounds s = entry_in_[f];
+    if (!s.reachable || !s.anchored || s.lo == s.hi) continue;
+    if (fn.entry == Cfg::kNoBlock || fn.entry == cfg.entry_block()) continue;
+    if (!touches_fp(fn)) continue;
+    issues_.push_back(
+        {false, "fp-call-depth-imbalance", cfg.block(fn.entry).begin,
+         "called at FP-stack depths between " + std::to_string(s.lo) +
+             " and " + std::to_string(s.hi) +
+             " while operating on the FP stack"});
+  }
+
+  std::sort(issues_.begin(), issues_.end(),
+            [](const FpDepthIssue& a, const FpDepthIssue& b) {
+              if (a.addr != b.addr) return a.addr < b.addr;
+              return a.code < b.code;
+            });
+
+  max_depth_ = all_anchored ? static_cast<unsigned>(max_hi) : kNumFpr;
+  always_empty_ = any_reachable && all_anchored ? kNumFpr - max_depth_ : 0;
 }
 
 DepthBounds FpDepthCtx::bounds_at(Addr pc) const noexcept {

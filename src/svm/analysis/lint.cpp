@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "svm/analysis/execgraph.hpp"
-#include "svm/analysis/fpdepth.hpp"
+#include "svm/analysis/fpdepth_ctx.hpp"
 #include "svm/analysis/heapliveness.hpp"
 #include "svm/analysis/memliveness.hpp"
 #include "svm/analysis/valuerange.hpp"
@@ -404,12 +404,13 @@ LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
 
   check_fp_and_frames(cfg, errors);
 
-  // Absolute FP-stack depth bounds (fpdepth.hpp): catches what the relative
-  // per-function checks above cannot — a callee whose interior depth only
-  // exceeds the 8 slots once the caller's entry depth is added, or an
-  // instruction whose operands no reachable path provides.
+  // Absolute FP-stack depth bounds (fpdepth_ctx.hpp): catches what the
+  // relative per-function checks above cannot — a callee whose interior
+  // depth only exceeds the 8 slots once the caller's entry depth is added,
+  // an instruction whose operands no reachable path provides, or a function
+  // entered at several absolute depths.
   {
-    const FpDepth fpdepth(cfg);
+    const FpDepthCtx fpdepth(cfg);
     for (const FpDepthIssue& issue : fpdepth.issues()) {
       if (issue.is_error) {
         err(issue.code, issue.addr, issue.message);

@@ -28,8 +28,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/app.hpp"
 #include "core/adaptive.hpp"
@@ -103,13 +105,12 @@ int usage() {
   return 2;
 }
 
-/// Send a report to --out=FILE when given, stdout otherwise.
-void write_output(const util::Cli& cli, const std::string& text) {
-  if (!cli.has("out")) {
+/// Send a report to `path` (--out=FILE) when given, stdout otherwise.
+void write_output(const std::string& path, const std::string& text) {
+  if (path.empty()) {
     std::printf("%s", text.c_str());
     return;
   }
-  const std::string path = cli.str("out", "");
   std::ofstream out(path, std::ios::binary);
   if (!out) throw util::SetupError("cannot write '" + path + "'");
   out << text;
@@ -182,6 +183,7 @@ int cmd_run(const util::Cli& cli) {
   if (!parse_engine(cli, engine)) return 1;
   core::PruneLevel prune = core::PruneLevel::kOff;
   if (!parse_prune(cli, prune)) return 1;
+  cli.reject_unused();
 
   // Link once; the golden run, the dictionary and the injected run all
   // read the same image (the assembler is deterministic anyway).
@@ -233,6 +235,10 @@ int cmd_campaign(const util::Cli& cli) {
   if (!parse_engine(cli, cfg.engine)) return 1;
   CampaignProgress progress;
   if (!cli.flag("quiet")) cfg.observer = &progress;
+  const bool json = cli.flag("json");
+  const bool csv = cli.flag("csv");
+  const bool activation = cli.flag("activation");
+  cli.reject_unused();
   std::printf("campaign: %s, %d runs/region, seed %llu, %d jobs "
               "(d = %.1f%% at 95%%)\n\n",
               app.name.c_str(), cfg.runs_per_region,
@@ -240,13 +246,13 @@ int cmd_campaign(const util::Cli& cli) {
               100.0 * core::estimation_error(
                           0.05, static_cast<std::uint64_t>(cfg.runs_per_region)));
   const core::CampaignResult res = core::run_campaign(app, cfg);
-  if (cli.flag("json")) {
+  if (json) {
     std::printf("%s\n", core::campaign_json(res).c_str());
-  } else if (cli.flag("csv")) {
+  } else if (csv) {
     std::printf("%s", core::campaign_csv(res).c_str());
   } else {
     std::printf("%s", core::format_campaign(res).c_str());
-    if (cli.flag("activation")) {
+    if (activation) {
       const std::string act = core::format_activation(res);
       if (!act.empty()) std::printf("\n%s", act.c_str());
     }
@@ -254,21 +260,36 @@ int cmd_campaign(const util::Cli& cli) {
   return 0;
 }
 
+/// Report options of the commands that render a batch result (batch,
+/// resume, merge), read up front like every other option.
+struct ReportOpts {
+  explicit ReportOpts(const util::Cli& cli)
+      : json(cli.flag("json")), csv(cli.flag("csv")),
+        activation(cli.flag("activation")), out(cli.str("out", "")) {}
+  bool json, csv, activation;
+  std::string out;  // --out=FILE; empty writes to stdout
+};
+
+/// Per-campaign activation splits plus the batch-wide per-app summary.
+std::string activation_report(const core::BatchResult& res) {
+  std::string out;
+  for (const auto& campaign : res.campaigns) {
+    const std::string act = core::format_activation(campaign);
+    if (!act.empty()) out += "\n" + act;
+  }
+  const std::string combined = core::format_batch_activation(res);
+  if (!combined.empty()) out += "\n" + combined;
+  return out;
+}
+
 /// Per-campaign batch report: tables (plus optional activation splits and
 /// the batch-wide per-app activation summary), JSON or CSV, matching the
 /// single-campaign `fsim campaign` surface.
-std::string render_batch(const util::Cli& cli, const core::BatchResult& res) {
-  if (cli.flag("json")) return core::batch_json(res) + "\n";
-  if (cli.flag("csv")) return core::batch_csv(res);
+std::string render_batch(const ReportOpts& opts, const core::BatchResult& res) {
+  if (opts.json) return core::batch_json(res) + "\n";
+  if (opts.csv) return core::batch_csv(res);
   std::string out = core::format_batch(res);
-  if (cli.flag("activation")) {
-    for (const auto& campaign : res.campaigns) {
-      const std::string act = core::format_activation(campaign);
-      if (!act.empty()) out += "\n" + act;
-    }
-    const std::string combined = core::format_batch_activation(res);
-    if (!combined.empty()) out += "\n" + combined;
-  }
+  if (opts.activation) out += activation_report(res);
   return out;
 }
 
@@ -289,11 +310,11 @@ bool parse_ckpt_encoding(const util::Cli& cli,
 
 /// Shard partials default to the JSON that `fsim merge` consumes; tables
 /// and CSV stay available on request.
-void write_batch_output(const util::Cli& cli, const core::BatchResult& res) {
-  if (res.shard.count > 1 && !cli.flag("json") && !cli.flag("csv"))
-    write_output(cli, core::batch_json(res) + "\n");
+void write_batch_output(const ReportOpts& opts, const core::BatchResult& res) {
+  if (res.shard.count > 1 && !opts.json && !opts.csv)
+    write_output(opts.out, core::batch_json(res) + "\n");
   else
-    write_output(cli, render_batch(cli, res));
+    write_output(opts.out, render_batch(opts, res));
 }
 
 /// Adaptive (--ci) knobs shared by `fsim batch` and `fsim resume`.
@@ -308,57 +329,49 @@ core::AdaptivePolicy parse_adaptive_policy(const util::Cli& cli,
   return policy;
 }
 
+/// --max-runs=N, when given; a cap that is not positive is refused.
+std::optional<int> parse_max_runs(const util::Cli& cli) {
+  if (!cli.has("max-runs")) return std::nullopt;
+  const int cap = static_cast<int>(cli.num("max-runs", 0));
+  if (cap <= 0) throw util::SetupError("option --max-runs must be positive");
+  return cap;
+}
+
 /// Per-cell cap in --ci mode: --max-runs overrides every campaign;
 /// otherwise an explicit --runs (or a spec file's runs) stands, and a bare
 /// `fsim batch --ci=...` raises the cap to 2000 so the default 200 does
 /// not silently truncate cells that need the full Cochran budget (385 at
 /// d=5%, 95%).
-void apply_max_runs(const util::Cli& cli, bool explicit_runs,
+void apply_max_runs(std::optional<int> max_runs, bool explicit_runs,
                     std::vector<core::CampaignSpec>& specs) {
-  int cap = 0;
-  if (cli.has("max-runs"))
-    cap = static_cast<int>(cli.num("max-runs", 0));
-  else if (!explicit_runs)
-    cap = 2000;
-  if (cap <= 0) {
-    if (cli.has("max-runs"))
-      throw util::SetupError("option --max-runs must be positive");
-    return;
-  }
-  for (auto& spec : specs) spec.runs_per_region = cap;
+  if (!max_runs && explicit_runs) return;
+  for (auto& spec : specs) spec.runs_per_region = max_runs.value_or(2000);
 }
 
 /// `render_batch` for adaptive results: the same three surfaces, with the
 /// per-cell stopping table appended to the human-readable report.
-void write_adaptive_output(const util::Cli& cli,
+void write_adaptive_output(const ReportOpts& opts,
                            const core::AdaptiveResult& res) {
-  if (cli.flag("json") ||
-      (res.batch.shard.count > 1 && !cli.flag("csv"))) {
-    write_output(cli, core::adaptive_json(res) + "\n");
+  if (opts.json || (res.batch.shard.count > 1 && !opts.csv)) {
+    write_output(opts.out, core::adaptive_json(res) + "\n");
     return;
   }
-  if (cli.flag("csv")) {
-    write_output(cli, core::batch_csv(res.batch));
+  if (opts.csv) {
+    write_output(opts.out, core::batch_csv(res.batch));
     return;
   }
   std::string out = core::format_batch(res.batch);
   out += "\n" + core::format_adaptive(res);
-  if (cli.flag("activation")) {
-    for (const auto& campaign : res.batch.campaigns) {
-      const std::string act = core::format_activation(campaign);
-      if (!act.empty()) out += "\n" + act;
-    }
-    const std::string combined = core::format_batch_activation(res.batch);
-    if (!combined.empty()) out += "\n" + combined;
-  }
-  write_output(cli, out);
+  if (opts.activation) out += activation_report(res.batch);
+  write_output(opts.out, out);
 }
 
 int cmd_batch(const util::Cli& cli) {
   // Campaign list: an explicit spec file, or inline flags applied to every
   // app in --apps (default: the paper's three-application suite).
-  std::vector<core::CampaignSpec> specs;
-  if (cli.has("spec")) {
+  const bool from_spec = cli.has("spec");
+  const std::string spec_path = cli.str("spec", "");
+  if (from_spec) {
     // The spec file defines every campaign; an inline campaign flag beside
     // it would be silently ignored, so it is refused instead.
     for (const char* flag : {"apps", "runs", "seed", "regions", "prune"}) {
@@ -370,37 +383,20 @@ int cmd_batch(const util::Cli& cli) {
         return 1;
       }
     }
-    specs = core::parse_batch_spec(util::read_file(cli.str("spec", "")));
-    // --engine on the command line overrides whatever the spec file says —
-    // engines are bit-identical, so this never changes the batch identity.
-    svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
-    if (!parse_engine(cli, engine)) return 1;
-    if (cli.has("engine"))
-      for (auto& spec : specs) spec.engine = engine;
-  } else {
-    core::CampaignConfig base;
-    base.runs_per_region = static_cast<int>(cli.num("runs", 200));
-    base.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
-    if (cli.has("regions"))
-      base.regions = parse_region_list(cli.str("regions", ""));
-    if (!parse_prune(cli, base.prune)) return 1;
-    if (!parse_engine(cli, base.engine)) return 1;
-    std::istringstream as(
-        cli.str("apps", "wavetoy,minimd,atmo"));
-    std::string name;
-    while (std::getline(as, name, ','))
-      if (!name.empty()) specs.push_back(core::spec_of(name, base));
-    if (specs.empty()) {
-      std::fprintf(stderr, "batch: empty --apps list\n");
-      return 1;
-    }
   }
+  core::CampaignConfig base;
+  base.runs_per_region = static_cast<int>(cli.num("runs", 200));
+  base.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
+  if (cli.has("regions"))
+    base.regions = parse_region_list(cli.str("regions", ""));
+  if (!parse_prune(cli, base.prune)) return 1;
+  if (!parse_engine(cli, base.engine)) return 1;
+  const std::string app_list = cli.str("apps", "wavetoy,minimd,atmo");
 
   const bool adaptive = cli.has("ci");
-  if (adaptive)
-    apply_max_runs(cli, cli.has("spec") || cli.has("runs"), specs);
-
-  std::vector<core::BatchEntry> entries = core::entries_for_specs(specs);
+  const core::AdaptivePolicy policy =
+      parse_adaptive_policy(cli, core::AdaptivePolicy{});
+  const std::optional<int> max_runs = parse_max_runs(cli);
 
   core::BatchConfig bc;
   bc.jobs = static_cast<int>(cli.num(
@@ -417,14 +413,39 @@ int cmd_batch(const util::Cli& cli) {
     bc.shard.index = std::atoi(s.substr(0, slash).c_str());
     bc.shard.count = std::atoi(s.substr(slash + 1).c_str());
   }
+  const bool quiet = cli.flag("quiet");
+  const ReportOpts report(cli);
+  cli.reject_unused();
+
+  std::vector<core::CampaignSpec> specs;
+  if (from_spec) {
+    specs = core::parse_batch_spec(util::read_file(spec_path));
+    // --engine on the command line overrides whatever the spec file says —
+    // engines are bit-identical, so this never changes the batch identity.
+    if (cli.has("engine"))
+      for (auto& spec : specs) spec.engine = base.engine;
+  } else {
+    std::istringstream as(app_list);
+    std::string name;
+    while (std::getline(as, name, ','))
+      if (!name.empty()) specs.push_back(core::spec_of(name, base));
+    if (specs.empty()) {
+      std::fprintf(stderr, "batch: empty --apps list\n");
+      return 1;
+    }
+  }
+  if (adaptive) apply_max_runs(max_runs, from_spec || cli.has("runs"), specs);
+
+  std::vector<core::BatchEntry> entries = core::entries_for_specs(specs);
+
   BatchProgress progress;
-  if (!cli.flag("quiet")) bc.observer = &progress;
+  if (!quiet) bc.observer = &progress;
 
   if (adaptive) {
     core::AdaptiveConfig ac;
     ac.exec() = bc.exec();  // same jobs/shard/observer/checkpoint policy
-    ac.policy = parse_adaptive_policy(cli, core::AdaptivePolicy{});
-    if (!cli.flag("quiet"))
+    ac.policy = policy;
+    if (!quiet)
       std::fprintf(stderr,
                    "batch: %zu campaigns, %d jobs, shard %d/%d, adaptive "
                    "ci %.3g at %.3g%% (wave %d)\n",
@@ -432,17 +453,17 @@ int cmd_batch(const util::Cli& cli) {
                    ac.policy.ci, 100.0 * (1.0 - ac.policy.alpha),
                    ac.policy.wave);
     const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_adaptive_output(cli, res);
+    write_adaptive_output(report, res);
     return 0;
   }
 
-  if (!cli.flag("quiet"))
+  if (!quiet)
     std::fprintf(stderr,
                  "batch: %zu campaigns, %d jobs, shard %d/%d\n",
                  entries.size(), bc.jobs, bc.shard.index, bc.shard.count);
 
   const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(cli, res);
+  write_batch_output(report, res);
   return 0;
 }
 
@@ -460,18 +481,14 @@ int cmd_resume(const util::Cli& cli) {
   // bit-identical: resuming under a different one is always legal.
   svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
   if (!parse_engine(cli, engine)) return 1;
-  if (cli.has("engine"))
-    for (auto& spec : ck.specs) spec.engine = engine;
-  // Adaptive resumes accept a new cap: it rewrites the specs (the cap is
-  // spec identity) before the entries are built, exactly as a fresh
-  // `batch --ci --max-runs` would have.
-  if (ck.adaptive && cli.has("max-runs")) {
-    const int cap = static_cast<int>(cli.num("max-runs", 0));
-    if (cap <= 0) throw util::SetupError("option --max-runs must be positive");
-    for (auto& spec : ck.specs) spec.runs_per_region = cap;
-  }
-
-  std::vector<core::BatchEntry> entries = core::entries_for_specs(ck.specs);
+  const std::optional<int> max_runs = parse_max_runs(cli);
+  // An adaptive checkpoint resumes the wave scheduler with its recorded
+  // policy; --ci/--confidence/--wave/--max-runs override it (equivalent to
+  // a fresh run with the new policy when --wave is unchanged). run_adaptive
+  // itself rejects --ci against a fixed-n checkpoint with a clear message.
+  const bool adaptive = ck.adaptive || cli.has("ci");
+  const core::AdaptivePolicy policy = parse_adaptive_policy(
+      cli, ck.adaptive ? *ck.adaptive : core::AdaptivePolicy{});
 
   core::BatchConfig bc;
   bc.jobs = static_cast<int>(cli.num(
@@ -484,8 +501,22 @@ int cmd_resume(const util::Cli& cli) {
   bc.checkpoint_path = cli.str("checkpoint", files[0]);
   bc.checkpoint_every = static_cast<int>(cli.num("checkpoint-every", 64));
   if (!parse_ckpt_encoding(cli, bc.checkpoint_encoding)) return 1;
+  const bool quiet = cli.flag("quiet");
+  const ReportOpts report(cli);
+  cli.reject_unused();
+
+  if (cli.has("engine"))
+    for (auto& spec : ck.specs) spec.engine = engine;
+  // Adaptive resumes accept a new cap: it rewrites the specs (the cap is
+  // spec identity) before the entries are built, exactly as a fresh
+  // `batch --ci --max-runs` would have.
+  if (ck.adaptive && max_runs)
+    for (auto& spec : ck.specs) spec.runs_per_region = *max_runs;
+
+  std::vector<core::BatchEntry> entries = core::entries_for_specs(ck.specs);
+
   BatchProgress progress;
-  if (!cli.flag("quiet")) {
+  if (!quiet) {
     bc.observer = &progress;
     std::fprintf(stderr,
                  "resume: %zu campaigns, shard %d/%d, %d of %d runs already "
@@ -494,22 +525,17 @@ int cmd_resume(const util::Cli& cli) {
                  ck.completed_runs(), ck.owned_runs(), bc.jobs);
   }
 
-  // An adaptive checkpoint resumes the wave scheduler with its recorded
-  // policy; --ci/--confidence/--wave/--max-runs override it (equivalent to
-  // a fresh run with the new policy when --wave is unchanged). run_adaptive
-  // itself rejects --ci against a fixed-n checkpoint with a clear message.
-  if (ck.adaptive || cli.has("ci")) {
+  if (adaptive) {
     core::AdaptiveConfig ac;
     ac.exec() = bc.exec();  // carries jobs/shard/checkpoint policy + resume
-    ac.policy = parse_adaptive_policy(
-        cli, ck.adaptive ? *ck.adaptive : core::AdaptivePolicy{});
+    ac.policy = policy;
     const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_adaptive_output(cli, res);
+    write_adaptive_output(report, res);
     return 0;
   }
 
   const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(cli, res);
+  write_batch_output(report, res);
   return 0;
 }
 
@@ -522,6 +548,9 @@ int cmd_merge(const util::Cli& cli) {
                  "[--json] [--csv]\n");
     return 2;
   }
+  const bool partial_report = cli.flag("partial-report");
+  const ReportOpts report(cli);
+  cli.reject_unused();
   // Inputs may be finished shard results or checkpoints; an incomplete
   // checkpoint only contributes with an explicit --partial-report.
   std::vector<core::BatchResult> shards;
@@ -529,7 +558,7 @@ int cmd_merge(const util::Cli& cli) {
   for (const auto& f : files) {
     core::MergeInput in = core::parse_merge_input(util::read_file(f));
     if (!in.complete) {
-      if (!cli.flag("partial-report"))
+      if (!partial_report)
         throw util::SetupError(
             "merge: '" + f + "' is an incomplete checkpoint (" +
             std::to_string(in.completed_runs) + " of " +
@@ -541,50 +570,60 @@ int cmd_merge(const util::Cli& cli) {
     shards.push_back(std::move(in.result));
   }
   const core::BatchResult merged = core::merge_batch(shards);
-  std::string out = render_batch(cli, merged);
-  if (partial && !cli.flag("json") && !cli.flag("csv"))
+  std::string out = render_batch(report, merged);
+  if (partial && !report.json && !report.csv)
     out += "\nNOTE: partial report — one or more inputs were incomplete "
            "checkpoints; counts cover only their completed runs.\n";
-  write_output(cli, out);
+  write_output(report.out, out);
   return 0;
 }
 
-int lint_one(const apps::App& app, const util::Cli& cli, bool werror) {
+/// Options of `fsim lint`, shared by every app it lints.
+struct LintFlags {
+  bool json = false;
+  bool werror = false;
+  std::optional<std::vector<std::string>> suppress;  // replaces app defaults
+};
+
+int lint_one(const apps::App& app, const LintFlags& flags) {
   const svm::Program program = app.link();
   const svm::analysis::Cfg cfg(program);
   const svm::analysis::Liveness lint_liveness(
       cfg, svm::analysis::DefUseModel::kLint);
   svm::analysis::LintOptions opts;
-  opts.suppress = app.lint_suppress;
-  if (cli.has("suppress")) {
-    opts.suppress.clear();  // explicit list replaces the app's defaults
-    std::istringstream ss(cli.str("suppress", ""));
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-      if (!tok.empty()) opts.suppress.push_back(tok);
-  }
+  opts.suppress = flags.suppress.value_or(app.lint_suppress);
   const svm::analysis::LintResult res =
       svm::analysis::run_lint(cfg, lint_liveness, opts);
-  if (cli.flag("json")) {
+  if (flags.json) {
     std::printf("%s\n", svm::analysis::lint_json(res, app.name).c_str());
   } else {
     std::printf("%s", svm::analysis::format_lint(res, app.name).c_str());
   }
   if (res.errors > 0) return 1;
-  if (werror && res.warnings > 0) return 1;
+  if (flags.werror && res.warnings > 0) return 1;
   return 0;
 }
 
 int cmd_lint(const util::Cli& cli) {
-  const bool werror = cli.flag("werror");
+  LintFlags flags;
+  flags.json = cli.flag("json");
+  flags.werror = cli.flag("werror");
+  if (cli.has("suppress")) {
+    flags.suppress.emplace();
+    std::istringstream ss(cli.str("suppress", ""));
+    std::string tok;
+    while (std::getline(ss, tok, ','))
+      if (!tok.empty()) flags.suppress->push_back(tok);
+  }
   const std::string which = cli.str("app", "all");
+  cli.reject_unused();
   int rc = 0;
   if (which == "all") {
     for (const auto& name : apps::app_names())
-      rc |= lint_one(apps::make_app(name), cli, werror);
-    rc |= lint_one(apps::make_app("jacobi"), cli, werror);
+      rc |= lint_one(apps::make_app(name), flags);
+    rc |= lint_one(apps::make_app("jacobi"), flags);
   } else {
-    rc = lint_one(apps::make_app(which), cli, werror);
+    rc = lint_one(apps::make_app(which), flags);
   }
   return rc;
 }
@@ -598,13 +637,17 @@ int cmd_analyze(const util::Cli& cli) {
       "jobs",
       static_cast<std::int64_t>(util::ThreadPool::default_workers())));
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
-  if (!cli.flag("quiet") && cfg.runs > 0)
+  const bool quiet = cli.flag("quiet");
+  const bool json = cli.flag("json");
+  const bool csv = cli.flag("csv");
+  cli.reject_unused();
+  if (!quiet && cfg.runs > 0)
     std::fprintf(stderr, "analyze: %s, %d-run reference campaign...\n",
                  app.name.c_str(), cfg.runs);
   const core::AnalyzeResult res = core::analyze_app(app, cfg);
-  if (cli.flag("json"))
+  if (json)
     std::printf("%s\n", core::analyze_json(res).c_str());
-  else if (cli.flag("csv"))
+  else if (csv)
     std::printf("%s", core::analyze_csv(res).c_str());
   else
     std::printf("%s", core::format_analyze(res).c_str());
@@ -612,9 +655,11 @@ int cmd_analyze(const util::Cli& cli) {
 }
 
 int cmd_profile(const util::Cli& cli) {
+  const std::string app_name = cli.str("app", "");
+  cli.reject_unused();
   std::vector<trace::ProcessProfile> profiles;
-  if (cli.has("app")) {
-    profiles.push_back(trace::profile_app(apps::make_app(cli.str("app", ""))));
+  if (!app_name.empty()) {
+    profiles.push_back(trace::profile_app(apps::make_app(app_name)));
   } else {
     for (const auto& name : apps::app_names())
       profiles.push_back(trace::profile_app(apps::make_app(name)));
@@ -627,6 +672,7 @@ int cmd_trace(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   const int rank = static_cast<int>(cli.num("rank", 1));
   const std::size_t points = static_cast<std::size_t>(cli.num("points", 20));
+  cli.reject_unused();
   if (rank < 0 || rank >= app.world.nranks) {
     std::fprintf(stderr, "rank out of range\n");
     return 1;
@@ -648,6 +694,7 @@ int cmd_trace(const util::Cli& cli) {
 int cmd_mix(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   const int rank = static_cast<int>(cli.num("rank", 1));
+  cli.reject_unused();
   svm::Program program = app.link();
   simmpi::World world(program, app.world);
   trace::InstructionMixProfiler mix(program, world.machine(rank));
@@ -691,6 +738,7 @@ int cmd_serve(const util::Cli& cli) {
   opts.state_dir = cli.str("state", "");
   opts.chunk = static_cast<std::uint64_t>(cli.num("chunk", 0));
   if (!parse_ckpt_encoding(cli, opts.encoding)) return 1;
+  cli.reject_unused();
   return service::serve(opts);
 }
 
@@ -701,20 +749,24 @@ int cmd_worker(const util::Cli& cli) {
   opts.jobs = static_cast<int>(cli.num("jobs", 1));
   opts.checkpoint_every =
       static_cast<int>(cli.num("checkpoint-every", 16));
+  cli.reject_unused();
   return service::run_worker(opts);
 }
 
 int cmd_submit(const util::Cli& cli) {
+  const std::string socket = require_socket(cli);
   if (!cli.has("spec"))
     throw util::SetupError("option --spec=FILE is required");
+  const std::string spec_path = cli.str("spec", "");
+  const std::string tenant = cli.str("tenant", "default");
+  cli.reject_unused();
   util::JsonWriter w;
   w.begin_object();
   w.key("op").value("submit");
-  w.key("tenant").value(cli.str("tenant", "default"));
-  w.key("spec").value(util::read_file(cli.str("spec", "")));
+  w.key("tenant").value(tenant);
+  w.key("spec").value(util::read_file(spec_path));
   w.end_object();
-  const util::JsonValue reply =
-      service_request(require_socket(cli), w.str());
+  const util::JsonValue reply = service_request(socket, w.str());
   std::printf("%s\n", reply.at("job").as_string().c_str());
   return 0;
 }
@@ -739,18 +791,24 @@ int status_of_file(const std::string& path) {
 }
 
 int cmd_status(const util::Cli& cli) {
-  if (!cli.positional().empty()) return status_of_file(cli.positional()[0]);
+  if (!cli.positional().empty()) {
+    cli.reject_unused();  // the offline form takes no options
+    return status_of_file(cli.positional()[0]);
+  }
+  const std::string socket = require_socket(cli);
+  const bool one = cli.has("job");
+  const std::string job = cli.str("job", "");
+  cli.reject_unused();
   util::JsonWriter w;
   w.begin_object();
   w.key("op").value("status");
-  if (cli.has("job")) w.key("job").value(cli.str("job", ""));
+  if (one) w.key("job").value(job);
   w.end_object();
-  const util::JsonValue reply =
-      service_request(require_socket(cli), w.str());
+  const util::JsonValue reply = service_request(socket, w.str());
   const auto& jobs = reply.at("jobs").items();
   if (jobs.empty()) {
-    std::printf("no %s\n", cli.has("job") ? "such job" : "jobs");
-    return cli.has("job") ? 1 : 0;
+    std::printf("no %s\n", one ? "such job" : "jobs");
+    return one ? 1 : 0;
   }
   for (const auto& job : jobs) {
     std::printf("job %s  tenant=%s  state=%s\n",
@@ -766,25 +824,30 @@ int cmd_status(const util::Cli& cli) {
 }
 
 int cmd_fetch(const util::Cli& cli) {
+  const std::string socket = require_socket(cli);
   if (!cli.has("job"))
     throw util::SetupError("option --job=ID is required");
+  const std::string job = cli.str("job", "");
+  const std::string out = cli.str("out", "");
+  cli.reject_unused();
   util::JsonWriter w;
   w.begin_object();
   w.key("op").value("fetch");
-  w.key("job").value(cli.str("job", ""));
+  w.key("job").value(job);
   w.end_object();
-  const util::JsonValue reply =
-      service_request(require_socket(cli), w.str());
-  write_output(cli, reply.at("result").as_string());
+  const util::JsonValue reply = service_request(socket, w.str());
+  write_output(out, reply.at("result").as_string());
   return 0;
 }
 
 int cmd_shutdown(const util::Cli& cli) {
+  const std::string socket = require_socket(cli);
+  cli.reject_unused();
   util::JsonWriter w;
   w.begin_object();
   w.key("op").value("shutdown");
   w.end_object();
-  (void)service_request(require_socket(cli), w.str());
+  (void)service_request(socket, w.str());
   return 0;
 }
 

@@ -72,4 +72,13 @@ std::vector<std::string> Cli::unused() const {
   return out;
 }
 
+void Cli::reject_unused() const {
+  const std::vector<std::string> names = unused();
+  if (names.empty()) return;
+  std::string msg = names.size() == 1 ? "unknown option" : "unknown options";
+  for (std::size_t i = 0; i < names.size(); ++i)
+    msg += (i == 0 ? " --" : ", --") + names[i];
+  throw SetupError(msg);
+}
+
 }  // namespace fsim::util

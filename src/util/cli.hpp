@@ -1,7 +1,9 @@
 // Minimal command-line option parsing shared by bench and example binaries.
 //
-// Supports `--name=value`, `--name value` and boolean `--flag` forms; unknown
-// options raise SetupError so typos in experiment scripts fail loudly.
+// Supports `--name=value`, `--name value` and boolean `--flag` forms. A
+// binary reads every option it accepts and then calls reject_unused(), so
+// unknown options raise SetupError and typos in experiment scripts fail
+// loudly.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,9 @@ class Cli {
   /// Names seen on the command line but never queried; used by binaries to
   /// reject typos after all lookups are done.
   std::vector<std::string> unused() const;
+
+  /// Throws SetupError naming every unused option, if there is any.
+  void reject_unused() const;
 
  private:
   std::map<std::string, std::string> opts_;

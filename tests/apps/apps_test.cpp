@@ -111,6 +111,20 @@ TEST(Wavetoy, LowRegisterPressureVariantMatchesOutput) {
   EXPECT_GT(b.world.global_instructions(), a.world.global_instructions());
 }
 
+TEST(Wavetoy, LinksAndRunsWithFewColdFunctions) {
+  // The value-range gate's dead arm calls cold helpers; images with fewer
+  // than two of them must still link, and cold code never changes output.
+  Sim ref(make_wavetoy());
+  ASSERT_EQ(ref.go(), JobStatus::kCompleted);
+  for (int n : {0, 1}) {
+    WavetoyConfig cfg;
+    cfg.cold_functions = n;
+    Sim run(make_wavetoy(cfg));
+    ASSERT_EQ(run.go(), JobStatus::kCompleted) << n;
+    EXPECT_EQ(run.world.output(), ref.world.output()) << n;
+  }
+}
+
 TEST(Wavetoy, TrafficIsPayloadDominated) {
   // Cactus profile (Table 1): ~94% of received bytes are user data.
   App app = make_wavetoy();

@@ -17,7 +17,8 @@
 # between modes or engines) — optionally repeating the whole cycle under
 # AddressSanitizer. Without --asan, a focused ASan pass still builds the
 # CLI and drives the heap/stack scans (analyze + lint) on every app,
-# builds svm_tests to run the op-table specs and the engine diff, and
+# builds svm_tests to run the op-table specs, the engine diff and the
+# FP-stack depth tests (crafted programs and machine-trace claims), and
 # builds simmpi_tests and core_tests to run the sparse snapshot and
 # golden fast-forward tests.
 #
@@ -133,8 +134,10 @@ else
   # AddressSanitizer even when the full --asan cycle was not requested.
   # The op bodies both engines expand from svm/ops.def run there too: the
   # per-op spec, the ISA round trips and the lockstep engine diff. So do
-  # the snapshot and fast-forward tests: sparse snapshots copy and zero
-  # written-extent byte ranges, where an off-by-one would hide.
+  # the FP-stack depth tests, whose summaries and per-context walks index
+  # per-function and per-instruction tables, and the snapshot and
+  # fast-forward tests: sparse snapshots copy and zero written-extent byte
+  # ranges, where an off-by-one would hide.
   echo "=== ci: ASan heap/stack scan + op table + snapshot gate ==="
   scan_dir="$build-scan-asan"
   cmake -B "$scan_dir" -S "$root" -DFSIM_WERROR=ON \
@@ -148,8 +151,9 @@ else
   "$scan_dir/src/tools/fsim" lint --app=all > /dev/null
   echo "  analyze+lint clean under AddressSanitizer"
   "$scan_dir/tests/svm_tests" \
-    --gtest_filter='Ops*:Isa*:*DisasmRoundTrip*:*EngineDiff*' > /dev/null
-  echo "  op table specs and engine diff clean under AddressSanitizer"
+    --gtest_filter='Ops*:Isa*:*DisasmRoundTrip*:*EngineDiff*:FpDepth*' \
+    > /dev/null
+  echo "  op table specs, engine diff and FP depth clean under AddressSanitizer"
   "$scan_dir/tests/simmpi_tests" --gtest_filter='Snapshot*' > /dev/null
   "$scan_dir/tests/core_tests" --gtest_filter='*FastForward*' > /dev/null
   echo "  sparse snapshots and fast-forward clean under AddressSanitizer"

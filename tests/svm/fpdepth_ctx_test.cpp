@@ -1,5 +1,6 @@
-// FP-stack depth analysis: interval bounds and slot-emptiness proofs on
-// crafted programs, interprocedural over/underflow diagnostics the
+// FP-stack depth analysis (FpDepthCtx): interval bounds and slot-emptiness
+// proofs on crafted programs, call contexts kept apart and unsummarizable
+// callees left unanchored, interprocedural over/underflow diagnostics the
 // per-function relative checks cannot see, and a machine-trace validation
 // on the paper's three applications — every static claim is checked
 // against the dynamically observed FPU state.
@@ -10,7 +11,7 @@
 #include "apps/app.hpp"
 #include "simmpi/world.hpp"
 #include "svm/analysis/cfg.hpp"
-#include "svm/analysis/fpdepth.hpp"
+#include "svm/analysis/fpdepth_ctx.hpp"
 #include "svm/analysis/lint.hpp"
 #include "svm/analysis/liveness.hpp"
 #include "svm/assembler.hpp"
@@ -21,12 +22,12 @@ namespace {
 struct Analyzed {
   Program program;
   Cfg cfg;
-  FpDepth depth;
+  FpDepthCtx depth;
   explicit Analyzed(const std::string& src)
       : program(assemble(src)), cfg(program), depth(cfg) {}
 };
 
-bool has_issue(const FpDepth& d, const std::string& code) {
+bool has_issue(const FpDepthCtx& d, const std::string& code) {
   for (const auto& i : d.issues())
     if (i.code == code) return true;
   return false;
@@ -172,9 +173,8 @@ main:
 }
 
 TEST(FpDepth, CallDepthImbalanceIsFlagged) {
-  // helper is entered at depth 0 from one path and depth 1 from another
-  // (disjoint paths, so the context-insensitive fixpoint converges); its
-  // ST(i)-relative view of the stack is then ambiguous.
+  // helper is entered at depth 0 from one path and depth 1 from another;
+  // its ST(i)-relative view of the stack is then ambiguous.
   Analyzed a(R"(
 .text
 main:
@@ -197,6 +197,85 @@ helper:
   EXPECT_TRUE(has_issue(a.depth, "fp-call-depth-imbalance"));
 }
 
+TEST(FpDepth, HelperCalledAtTwoDepthsKeepsItsContextsApart) {
+  // helper runs at depth 0 and then at depth 1. A context-insensitive join
+  // would smear its ret state [0,1] to both return sites, so slot 7 would
+  // look possibly occupied after the first call. Each call site here gets
+  // its own pre-call interval plus the helper's (zero) net delta instead.
+  Analyzed a(R"(
+.text
+main:
+    call helper
+    fldz
+    call helper
+    fpop
+    ldi r1, 0
+    ret
+helper:
+    fldz
+    fpop
+    ret
+)");
+  const Addr base = a.cfg.user_text_base();
+  const Addr after_first = base + 4;   // fldz
+  const Addr after_second = base + 12;  // fpop
+  const DepthBounds b1 = a.depth.bounds_at(after_first);
+  EXPECT_TRUE(b1.anchored);
+  EXPECT_EQ(b1.lo, 0);
+  EXPECT_EQ(b1.hi, 0);
+  EXPECT_TRUE(a.depth.slot_empty_at(after_first, 7));
+  const DepthBounds b2 = a.depth.bounds_at(after_second);
+  EXPECT_TRUE(b2.anchored);
+  EXPECT_EQ(b2.lo, 1);
+  EXPECT_EQ(b2.hi, 1);
+  EXPECT_TRUE(a.depth.slot_empty_at(after_second, 6));
+  EXPECT_FALSE(a.depth.slot_empty_at(after_second, 7));
+  // Inside the helper both contexts join: entry [0,1], push to [1,2].
+  const DepthBounds at_entry = a.depth.bounds_at(base + 24);
+  EXPECT_EQ(at_entry.lo, 0);
+  EXPECT_EQ(at_entry.hi, 1);
+  const DepthBounds at_pop = a.depth.bounds_at(base + 28);
+  EXPECT_TRUE(at_pop.anchored);
+  EXPECT_EQ(at_pop.lo, 1);
+  EXPECT_EQ(at_pop.hi, 2);
+  EXPECT_EQ(a.depth.max_depth_bound(), 2u);
+  EXPECT_EQ(a.depth.always_empty_slots(), 6u);
+  EXPECT_TRUE(has_issue(a.depth, "fp-call-depth-imbalance"));
+}
+
+TEST(FpDepth, RecursiveCalleeLeavesItsReturnSiteUnanchored) {
+  // rec calls itself, so it has no composable summary: the return site in
+  // main is reached but unanchored, and no slot claim is made there.
+  Analyzed a(R"(
+.text
+main:
+    fldz
+    ldi r1, 3
+    call rec
+    fpop
+    ldi r1, 0
+    ret
+rec:
+    beq r1, r0, out
+    addi r1, r1, -1
+    call rec
+out:
+    ret
+)");
+  const Addr base = a.cfg.user_text_base();
+  const Addr at_call = base + 8;
+  const Addr ret_site = base + 12;  // fpop
+  EXPECT_TRUE(a.depth.bounds_at(at_call).anchored);
+  EXPECT_TRUE(a.depth.slot_empty_at(at_call, 0));
+  const DepthBounds b = a.depth.bounds_at(ret_site);
+  EXPECT_TRUE(b.reachable);
+  EXPECT_FALSE(b.anchored);
+  for (unsigned p = 0; p < kNumFpr; ++p)
+    EXPECT_FALSE(a.depth.slot_empty_at(ret_site, p)) << p;
+  EXPECT_EQ(a.depth.always_empty_slots(), 0u);
+  EXPECT_EQ(a.depth.max_depth_bound(), kNumFpr);
+}
+
 // --- Machine-trace validation on the paper's applications ---------------
 //
 // The injector's masking proof rests on slot_empty_at: whenever the
@@ -207,7 +286,7 @@ helper:
 void validate_against_trace(const apps::App& app) {
   const Program program = app.link();
   const Cfg cfg(program);
-  const FpDepth depth(cfg);
+  const FpDepthCtx depth(cfg);
   simmpi::World world(program, app.world);
 
   std::uint64_t checked = 0;

@@ -1,7 +1,7 @@
 // Machine-trace validation of the precision-ladder claims the injector
 // prunes on (analysis.hpp): on a fault-free run of each paper app,
-//   - a physical FP slot the context-sensitive analysis calls empty must
-//     hold a kEmpty tag at every scheduler pause,
+//   - a physical FP slot the depth analysis calls empty must hold a kEmpty
+//     tag at every scheduler pause,
 //   - a data/BSS byte claimed dead-from-here (time-windowed liveness) must
 //     never be read by that rank later in the run,
 //   - the value-range-refined reachable set must cover every user-text pc
@@ -10,8 +10,9 @@
 //     write-only must never have a payload byte read at any point,
 //   - a stack-frame slot the activation-window rung calls dead for its
 //     owning activation must be rewritten before it is next read.
-// Each check also asserts the refinement had bite beyond the base proof,
-// so a regression to the insensitive answer fails loudly.
+// Each check also asserts the rung had bite; the time-window and
+// value-range checks assert bite beyond their base proof, so a regression
+// to the coarser answer fails loudly.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -88,7 +89,7 @@ void validate_precision_ladder(const apps::App& app) {
     if (s.segment == Segment::kData || s.segment == Segment::kBss)
       samples.push_back(s.address);
 
-  std::uint64_t ctx_checked = 0, ctx_only = 0, window_only = 0;
+  std::uint64_t fp_checked = 0, window_only = 0;
   std::uint64_t heap_dead_seen = 0, frame_dead_seen = 0;
   std::vector<std::vector<DeadClaim>> claims(world.size());
   // Payload ranges of observed chunks whose allocation site the heap rung
@@ -126,11 +127,10 @@ void validate_precision_ladder(const apps::App& app) {
       }
       if (!pa.covers(pc)) continue;
       for (unsigned p = 0; p < kNumFpr; ++p) {
-        if (!pa.fpu_slot_dead_ctx(pc, p)) continue;
+        if (!pa.fpu_slot_dead_at(pc, p)) continue;
         ASSERT_EQ(m.regs().fpu.tag(p), FpuTag::kEmpty)
             << app.name << " slot " << p << " at pc " << pc;
-        ++ctx_checked;
-        if (!pa.fpu_slot_dead_at(pc, p)) ++ctx_only;
+        ++fp_checked;
       }
       for (Addr a : samples) {
         if (!pa.data_byte_dead_at(a, pc) || pa.data_byte_dead(a)) continue;
@@ -191,13 +191,12 @@ void validate_precision_ladder(const apps::App& app) {
   // Every rung must have had actual bite on its showcase app. The heap and
   // frame rungs must bite on every paper app (the analyze inventory gate
   // makes the same promise statically; this is the dynamic half).
-  EXPECT_GT(ctx_checked, 0u) << app.name;
+  EXPECT_GT(fp_checked, 0u) << app.name;
   EXPECT_GT(heap_dead_seen, 0u)
       << app.name << ": no live chunk from a write-only allocation site";
   EXPECT_GT(frame_dead_seen, 0u)
       << app.name << ": no user-frame slot claimed by the activation window";
   if (app.name == "wavetoy") {
-    EXPECT_GT(ctx_only, 0u) << "ctx refinement proved nothing extra";
     EXPECT_GT(window_only, 0u) << "time windows proved nothing extra";
     EXPECT_GT(refined_cut, 0u) << "value ranges cut nothing from base";
   }

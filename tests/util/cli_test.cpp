@@ -68,6 +68,20 @@ TEST(Cli, UnusedDetectsTypos) {
   EXPECT_EQ(unused[0], "rnus");
 }
 
+TEST(Cli, RejectUnusedNamesEveryUnreadOption) {
+  Cli c = make({"--runs=5", "--rnus=500", "--bogus"});
+  (void)c.num("runs", 0);
+  try {
+    c.reject_unused();
+    FAIL() << "unread options were accepted";
+  } catch (const SetupError& e) {
+    EXPECT_STREQ(e.what(), "unknown options --bogus, --rnus");
+  }
+  (void)c.flag("bogus");
+  (void)c.num("rnus", 0);
+  EXPECT_NO_THROW(c.reject_unused());
+}
+
 TEST(Cli, HexNumbers) {
   Cli c = make({"--seed=0xff"});
   EXPECT_EQ(c.num("seed", 0), 255);
