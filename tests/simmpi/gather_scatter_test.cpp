@@ -1,12 +1,14 @@
 // MPI_Gather / MPI_Scatter (flat, rank-ordered placement).
 #include <gtest/gtest.h>
 
+#include "programs.hpp"
 #include "testutil.hpp"
 
 namespace fsim::simmpi {
 namespace {
 
 using testing::Job;
+namespace programs = testing::programs;
 
 WorldOptions ranks(int n) {
   WorldOptions o;
@@ -67,39 +69,7 @@ gbuf: .space 16
 
 TEST(GatherScatter, ScatterDistributesBlocks) {
   // Root 2 scatters the table {100,101,102,103,104}; rank r must get 100+r.
-  Job job(R"(
-.text
-main:
-    enter 16
-    call MPI_Init
-    call MPI_Comm_rank
-    mov r9, r1
-    ldi r5, 2
-    bne r9, r5, doscatter
-    la r10, table
-    ldi r11, 0
-tfill:
-    muli r5, r11, 4
-    add r5, r10, r5
-    addi r6, r11, 100
-    stw [r5], r6
-    addi r11, r11, 1
-    ldi r5, 5
-    blt r11, r5, tfill
-doscatter:
-    la r1, table
-    ldi r2, 4
-    addi r3, fp, -8
-    ldi r4, 2
-    call MPI_Scatter
-    call MPI_Finalize
-    ldw r1, [fp-8]
-    leave
-    ret
-.bss
-table: .space 20
-)",
-          ranks(5));
+  Job job(programs::kScatter, ranks(5));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   for (int r = 0; r < 5; ++r)
     EXPECT_EQ(job.world.machine(r).exit_code(), 100 + r) << "rank " << r;
@@ -107,57 +77,7 @@ table: .space 20
 
 TEST(GatherScatter, RoundTripScatterThenGather) {
   // scatter, transform locally, gather back: result[i] = 2*input[i].
-  Job job(R"(
-.text
-main:
-    enter 16
-    call MPI_Init
-    call MPI_Comm_rank
-    mov r9, r1
-    ldi r5, 0
-    bne r9, r5, work
-    la r10, table
-    ldi r5, 3
-    stw [r10+0], r5
-    ldi r5, 5
-    stw [r10+4], r5
-    ldi r5, 7
-    stw [r10+8], r5
-work:
-    la r1, table
-    ldi r2, 4
-    addi r3, fp, -8
-    ldi r4, 0
-    call MPI_Scatter
-    ldw r5, [fp-8]
-    shli r5, r5, 1
-    stw [fp-8], r5
-    addi r1, fp, -8
-    ldi r2, 4
-    la r3, table
-    ldi r4, 0
-    call MPI_Gather
-    ldi r5, 0
-    bne r9, r5, fin
-    la r10, table
-    ldw r5, [r10+0]
-    ldw r6, [r10+4]
-    add r5, r5, r6
-    ldw r6, [r10+8]
-    add r9, r5, r6       ; 6 + 10 + 14 = 30 (r9 survives the stubs)
-    call MPI_Finalize
-    mov r1, r9
-    leave
-    ret
-fin:
-    call MPI_Finalize
-    ldi r1, 0
-    leave
-    ret
-.bss
-table: .space 12
-)",
-          ranks(3));
+  Job job(programs::kScatterGather, ranks(3));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   EXPECT_EQ(job.world.machine(0).exit_code(), 30);
 }

@@ -1,12 +1,14 @@
 // Nonblocking point-to-point operations (MPI 1.1 §3.7 subset).
 #include <gtest/gtest.h>
 
+#include "programs.hpp"
 #include "testutil.hpp"
 
 namespace fsim::simmpi {
 namespace {
 
 using testing::Job;
+namespace programs = testing::programs;
 
 WorldOptions ranks(int n) {
   WorldOptions o;
@@ -111,53 +113,7 @@ buf: .space 64
 
 TEST(Nonblocking, TestPollsUntilComplete) {
   // Rank 0 spins on MPI_Test until the message lands, counting polls.
-  Job job(R"(
-.text
-main:
-    enter 16
-    call MPI_Init
-    call MPI_Comm_rank
-    mov r9, r1
-    ldi r5, 0
-    bne r9, r5, sender
-    la r1, buf
-    ldi r2, 4
-    ldi r3, 1
-    ldi r4, 5
-    call MPI_Irecv
-    mov r10, r1          ; request id
-    ldi r11, 0           ; poll counter
-poll:
-    addi r11, r11, 1
-    mov r1, r10
-    call MPI_Test
-    ldi r5, -1
-    beq r1, r5, poll
-    call MPI_Finalize
-    mov r1, r11          ; number of polls taken
-    leave
-    ret
-sender:
-    ; burn some cycles before sending so the receiver must poll
-    ldi r5, 0
-    li r6, 3000
-delay:
-    addi r5, r5, 1
-    blt r5, r6, delay
-    stw [fp-8], r5
-    addi r1, fp, -8
-    ldi r2, 4
-    ldi r3, 0
-    ldi r4, 5
-    call MPI_Send
-    call MPI_Finalize
-    ldi r1, 0
-    leave
-    ret
-.bss
-buf: .space 4
-)",
-          ranks(2));
+  Job job(programs::kTestPoll, ranks(2));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   EXPECT_GT(job.world.machine(0).exit_code(), 1);  // polled more than once
 }
@@ -223,46 +179,7 @@ sender:
 }
 
 TEST(Nonblocking, ProbeReportsPendingLength) {
-  Job job(R"(
-.text
-main:
-    enter 16
-    call MPI_Init
-    call MPI_Comm_rank
-    mov r9, r1
-    ldi r5, 0
-    bne r9, r5, sender
-    ldi r1, 1
-    ldi r2, 6
-    call MPI_Probe       ; r1 <- pending payload bytes
-    mov r10, r1
-    la r1, buf
-    ldi r2, 64
-    ldi r3, 1
-    ldi r4, 6
-    call MPI_Recv
-    ; exit code: probe length must equal received length
-    sub r1, r10, r1
-    addi r1, r1, 77      ; 77 iff they matched
-    mov r11, r1
-    call MPI_Finalize
-    mov r1, r11
-    leave
-    ret
-sender:
-    la r1, buf
-    ldi r2, 24
-    ldi r3, 0
-    ldi r4, 6
-    call MPI_Send
-    call MPI_Finalize
-    ldi r1, 0
-    leave
-    ret
-.bss
-buf: .space 64
-)",
-          ranks(2));
+  Job job(programs::kProbe, ranks(2));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   EXPECT_EQ(job.world.machine(0).exit_code(), 77);
 }
@@ -270,44 +187,7 @@ buf: .space 64
 TEST(Nonblocking, SendrecvSymmetricExchangeNoDeadlock) {
   // Every rank exchanges a word with its ring neighbour simultaneously —
   // the textbook use of MPI_Sendrecv.
-  Job job(R"(
-.text
-main:
-    enter 64
-    call MPI_Init
-    call MPI_Comm_rank
-    mov r9, r1
-    call MPI_Comm_size
-    mov r10, r1
-    ; sendval = rank; params block at [fp-48..fp-16)
-    stw [fp-52], r9          ; send payload word
-    addi r5, fp, -52
-    stw [fp-48], r5          ; sbuf
-    ldi r5, 4
-    stw [fp-44], r5          ; slen
-    addi r5, r9, 1
-    rems r5, r5, r10
-    stw [fp-40], r5          ; dest = rank+1 mod P
-    ldi r5, 3
-    stw [fp-36], r5          ; stag
-    addi r5, fp, -56
-    stw [fp-32], r5          ; rbuf
-    ldi r5, 4
-    stw [fp-28], r5          ; rcap
-    add r5, r9, r10
-    addi r5, r5, -1
-    rems r5, r5, r10
-    stw [fp-24], r5          ; src = rank-1 mod P
-    ldi r5, 3
-    stw [fp-20], r5          ; rtag
-    addi r1, fp, -48
-    call MPI_Sendrecv
-    call MPI_Finalize
-    ldw r1, [fp-56]          ; received = left neighbour's rank
-    leave
-    ret
-)",
-          ranks(4));
+  Job job(programs::kSendrecvRing, ranks(4));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   for (int r = 0; r < 4; ++r)
     EXPECT_EQ(job.world.machine(r).exit_code(), (r + 3) % 4) << "rank " << r;
@@ -316,44 +196,7 @@ main:
 TEST(Nonblocking, RendezvousIsendCompletesViaWait) {
   WorldOptions o = ranks(2);
   o.eager_threshold = 64;  // force rendezvous for the 256-byte message
-  Job job(R"(
-.text
-main:
-    enter 16
-    call MPI_Init
-    call MPI_Comm_rank
-    mov r9, r1
-    ldi r5, 0
-    bne r9, r5, receiver
-    la r10, buf
-    ldi r5, 99
-    stb [r10+200], r5
-    la r1, buf
-    li r2, 256
-    ldi r3, 1
-    ldi r4, 4
-    call MPI_Isend
-    call MPI_Wait        ; blocks until the CTS arrives and data flows
-    call MPI_Finalize
-    ldi r1, 0
-    leave
-    ret
-receiver:
-    la r1, buf
-    li r2, 256
-    ldi r3, 0
-    ldi r4, 4
-    call MPI_Recv
-    la r10, buf
-    ldb r11, [r10+200]
-    call MPI_Finalize
-    mov r1, r11
-    leave
-    ret
-.bss
-buf: .space 256
-)",
-          o);
+  Job job(programs::kRendezvousIsend, o);
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   EXPECT_EQ(job.world.machine(1).exit_code(), 99);
 }

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "programs.hpp"
 #include "testutil.hpp"
 
 namespace fsim::simmpi {
 namespace {
 
 using testing::Job;
+namespace programs = testing::programs;
 
 WorldOptions ranks(int n) {
   WorldOptions o;
@@ -359,52 +361,7 @@ TEST(World, RendezvousLargeMessage) {
   // 8 KiB message with a 4 KiB eager threshold forces RTS/CTS/DATA.
   WorldOptions o = ranks(2);
   o.eager_threshold = 4096;
-  Job job(R"(
-.text
-main:
-    enter 0
-    call MPI_Init
-    call MPI_Comm_rank
-    mov r9, r1
-    ldi r5, 0
-    bne r9, r5, receiver
-    ; rank 0 fills buf[0]=5, buf[8191]=6 and sends 8192 bytes
-    la r10, buf
-    ldi r5, 5
-    stb [r10+0], r5
-    li r11, 8191
-    add r10, r10, r11
-    ldi r5, 6
-    stb [r10+0], r5
-    la r1, buf
-    li r2, 8192
-    ldi r3, 1
-    ldi r4, 9
-    call MPI_Send
-    call MPI_Finalize
-    ldi r1, 0
-    leave
-    ret
-receiver:
-    la r1, buf
-    li r2, 8192
-    ldi r3, 0
-    ldi r4, 9
-    call MPI_Recv
-    la r10, buf
-    ldb r5, [r10+0]
-    li r11, 8191
-    add r10, r10, r11
-    ldb r6, [r10+0]
-    add r9, r5, r6
-    call MPI_Finalize
-    mov r1, r9
-    leave
-    ret
-.bss
-buf: .space 8192
-)",
-          o);
+  Job job(programs::kRendezvousSend, o);
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   EXPECT_EQ(job.world.machine(1).exit_code(), 11);
   // Rendezvous produced control traffic on both sides: RTS at the receiver,
