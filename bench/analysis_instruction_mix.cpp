@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace fsim;
   util::Cli cli(argc, argv);
   const int rank = static_cast<int>(cli.num("rank", 1));
+  cli.reject_unused();
 
   std::printf("=== Workload characterisation: instruction mix ===\n\n");
   for (const auto& name : apps::app_names()) {

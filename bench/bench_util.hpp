@@ -42,8 +42,7 @@ inline BenchArgs parse_args(int argc, char** argv, int default_runs) {
   a.csv = cli.flag("csv");
   a.json = cli.flag("json");
   a.quiet = cli.flag("quiet");
-  for (const auto& name : cli.unused())
-    std::fprintf(stderr, "warning: unused option --%s\n", name.c_str());
+  cli.reject_unused();
   return a;
 }
 

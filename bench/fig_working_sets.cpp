@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   const std::size_t points =
       static_cast<std::size_t>(cli.num("points", 40));
   const bool full = cli.flag("full");  // print the numeric series too
+  cli.reject_unused();
 
   std::printf(
       "=== Tables 5-7: Working-set size vs time (Valgrind-analogue) ===\n\n");

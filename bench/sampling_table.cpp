@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace fsim;
   util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.num("trials", 2000));
+  cli.reject_unused();
 
   std::printf("=== Sec 4.3: Fault sampling theory (Cochran) ===\n\n");
 

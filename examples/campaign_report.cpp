@@ -18,13 +18,15 @@ int main(int argc, char** argv) {
   const std::string name = cli.str("app", "minimd");
   const int runs = static_cast<int>(cli.num("runs", 50));
   const std::string regions = cli.str("regions", "regular,stack,message");
+  const int jobs = static_cast<int>(cli.num(
+      "jobs", static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+  cli.reject_unused();
 
   apps::App app = apps::make_app(name);
 
   core::CampaignConfig cfg;
   cfg.runs_per_region = runs;
-  cfg.jobs = static_cast<int>(cli.num(
-      "jobs", static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+  cfg.jobs = jobs;
   cfg.regions.clear();
   std::istringstream rs(regions);
   std::string tok;

@@ -14,7 +14,9 @@
 int main(int argc, char** argv) {
   using namespace fsim;
   util::Cli cli(argc, argv);
-  apps::App app = apps::make_app(cli.str("app", "wavetoy"));
+  const std::string name = cli.str("app", "wavetoy");
+  cli.reject_unused();
+  apps::App app = apps::make_app(name);
 
   svm::Program program = app.link();
   const core::Golden golden = core::run_golden(app, program);

@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
   // Default fault: byte 48 (first payload byte) bit 3 -> 3 becomes 11.
   const std::uint64_t byte = static_cast<std::uint64_t>(cli.num("byte", 48));
   const unsigned bit = static_cast<unsigned>(cli.num("bit", 3));
+  cli.reject_unused();
 
   // Assemble user code + MPI stub library into one image.
   svm::Program program =

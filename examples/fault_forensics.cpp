@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const core::Region region = core::parse_region(cli.str("region", "regular"));
   std::uint64_t seed = static_cast<std::uint64_t>(cli.num("seed", 0));
+  cli.reject_unused();
 
   apps::App app = apps::make_wavetoy();
   const svm::Program program = app.link();

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::string name = cli.str("app", "wavetoy");
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.num("seed", 7));
+  cli.reject_unused();
 
   // 1. Pick an application: a generated SVM assembly program plus its
   //    world configuration (ranks, scheduler, baseline stream).

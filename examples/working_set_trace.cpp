@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   const std::string name = cli.str("app", "wavetoy");
   const int rank = static_cast<int>(cli.num("rank", 1));
   const std::size_t points = static_cast<std::size_t>(cli.num("points", 20));
+  cli.reject_unused();
 
   apps::App app = apps::make_app(name);
   if (rank < 0 || rank >= app.world.nranks) {

@@ -13,56 +13,24 @@ using svm::Machine;
 using svm::Sys;
 using svm::SysResult;
 
+namespace {
+
+// Marks the reduce epoch of allreduce's result broadcast, which travels
+// under the same tag as the contributions.
+constexpr std::uint32_t kResultFlag = 0x80000000u;
+
+std::vector<std::byte> bytes_of(const std::vector<double>& v) {
+  std::vector<std::byte> raw(v.size() * sizeof(double));
+  if (!raw.empty()) std::memcpy(raw.data(), v.data(), raw.size());
+  return raw;
+}
+
+}  // namespace
+
 Process::Process(World& world, Machine& machine, int rank,
                  std::uint64_t rand_seed)
     : BasicEnv(machine, rand_seed), world_(&world), machine_(&machine),
       rank_(rank) {}
-
-// ---------------------------------------------------------------------------
-// Checkpoint/restart
-// ---------------------------------------------------------------------------
-
-Process::State Process::snapshot_state() const {
-  State s;
-  s.adi_stats = adi_stats_;
-  s.initialized = initialized_;
-  s.finalized = finalized_;
-  s.errhandler = errhandler_;
-  s.progress = progress_;
-  s.send_seq = send_seq_;
-  s.inbox = inbox_;
-  s.rndv = rndv_;
-  s.requests = requests_;
-  s.blocking_sendrecv = blocking_sendrecv_;
-  s.cts_sent = cts_sent_;
-  s.coll = coll_;
-  s.barrier_epoch = barrier_epoch_;
-  s.bcast_epoch = bcast_epoch_;
-  s.reduce_epoch = reduce_epoch_;
-  s.gather_epoch = gather_epoch_;
-  s.scatter_epoch = scatter_epoch_;
-  return s;
-}
-
-void Process::restore_state(const State& s) {
-  adi_stats_ = s.adi_stats;
-  initialized_ = s.initialized;
-  finalized_ = s.finalized;
-  errhandler_ = s.errhandler;
-  progress_ = s.progress;
-  send_seq_ = s.send_seq;
-  inbox_ = s.inbox;
-  rndv_ = s.rndv;
-  requests_ = s.requests;
-  blocking_sendrecv_ = s.blocking_sendrecv;
-  cts_sent_ = s.cts_sent;
-  coll_ = s.coll;
-  barrier_epoch_ = s.barrier_epoch;
-  bcast_epoch_ = s.bcast_epoch;
-  reduce_epoch_ = s.reduce_epoch;
-  gather_epoch_ = s.gather_epoch;
-  scatter_epoch_ = s.scatter_epoch;
-}
 
 // ---------------------------------------------------------------------------
 // Error paths
@@ -72,10 +40,10 @@ SysResult Process::arg_error(const std::string& which, const std::string& why) {
   // Paper §6.2: MPICH (and LAM/LA-MPI) raise the user-registered error
   // handler only for failed argument checks; without a handler the default
   // MPI_ERRORS_ARE_FATAL aborts the job.
-  if (errhandler_) {
+  if (state_.errhandler) {
     append_console("MPI ERROR HANDLER invoked: " + which + ": " + why + "\n");
     machine_->finish(13, ExitKind::kMpiHandler);
-    progress_ = true;
+    state_.progress = true;
     return SysResult::kExit;
   }
   return mpich_fatal(which + ": " + why);
@@ -85,9 +53,58 @@ SysResult Process::mpich_fatal(const std::string& why) {
   append_console("MPICH fatal error in rank " + std::to_string(rank_) + ": " +
                  why + "\n");
   machine_->finish(1, ExitKind::kMpiFatal);
-  progress_ = true;
+  state_.progress = true;
   world_->post_fatal(rank_, why);
   return SysResult::kExit;
+}
+
+// ---------------------------------------------------------------------------
+// Argument checks
+// ---------------------------------------------------------------------------
+
+SysResult Process::send_args(Machine& m, const char* name, SendArgs& out) {
+  const Addr buf = m.arg(0);
+  const std::uint32_t len = m.arg(1);
+  out.dest = static_cast<std::int32_t>(m.arg(2));
+  out.tag = static_cast<std::int32_t>(m.arg(3));
+
+  if (!state_.initialized || state_.finalized)
+    return mpich_fatal(std::string(name) + " outside init/finalize window");
+  if (out.dest < 0 || out.dest >= world_->size())
+    return arg_error(name,
+                     "invalid destination rank " + std::to_string(out.dest));
+  if (len > kMaxMessageBytes)
+    return arg_error(name, "invalid count " + std::to_string(len));
+  if (out.tag < 0 || out.tag >= kReservedTagBase)
+    return arg_error(name, "invalid tag " + std::to_string(out.tag));
+
+  out.payload.resize(len);
+  if (len > 0 && !machine_->memory().peek_span(buf, out.payload))
+    return arg_error(name, "unreadable send buffer");
+  return SysResult::kDone;
+}
+
+SysResult Process::recv_args(Machine& m, const char* name, RecvArgs& out) {
+  out.buf = m.arg(0);
+  out.cap = m.arg(1);
+  out.src = static_cast<std::int32_t>(m.arg(2));
+  out.tag = static_cast<std::int32_t>(m.arg(3));
+
+  if (!state_.initialized || state_.finalized)
+    return mpich_fatal(std::string(name) + " outside init/finalize window");
+  if (out.src < kAnySource || out.src >= world_->size())
+    return arg_error(name, "invalid source rank " + std::to_string(out.src));
+  if (out.cap > kMaxMessageBytes)
+    return arg_error(name, "invalid count " + std::to_string(out.cap));
+  if (out.tag < 0 || out.tag >= kReservedTagBase)
+    return arg_error(name, "invalid tag " + std::to_string(out.tag));
+  if (out.cap > 0) {
+    std::uint8_t probe = 0;
+    if (!machine_->memory().peek8(out.buf, probe) ||
+        !machine_->memory().peek8(out.buf + out.cap - 1, probe))
+      return arg_error(name, "unwritable receive buffer");
+  }
+  return SysResult::kDone;
 }
 
 // ---------------------------------------------------------------------------
@@ -96,7 +113,7 @@ SysResult Process::mpich_fatal(const std::string& why) {
 
 bool Process::pump_channel() {
   while (auto packet = channel_.drain()) {
-    progress_ = true;
+    state_.progress = true;
     if (packet->size() < kHeaderBytes) {
       mpich_fatal("short read on channel (corrupted stream)");
       return false;
@@ -137,9 +154,9 @@ bool Process::pump_channel() {
         mpich_fatal("control message with payload");
         return false;
       }
-      ++adi_stats_.control_messages;
-      adi_stats_.header_bytes += kHeaderBytes;
-      inbox_.push_back(InMsg{h, 0});
+      ++state_.adi_stats.control_messages;
+      state_.adi_stats.header_bytes += kHeaderBytes;
+      state_.inbox.push_back(InMsg{h, 0});
       continue;
     }
 
@@ -158,34 +175,108 @@ bool Process::pump_channel() {
           buf, std::span<const std::byte>(packet->data() + kHeaderBytes,
                                           actual_payload)));
     }
-    ++adi_stats_.data_messages;
-    adi_stats_.header_bytes += kHeaderBytes;
-    adi_stats_.payload_bytes += actual_payload;
-    inbox_.push_back(InMsg{h, buf});
+    ++state_.adi_stats.data_messages;
+    state_.adi_stats.header_bytes += kHeaderBytes;
+    state_.adi_stats.payload_bytes += actual_payload;
+    state_.inbox.push_back(InMsg{h, buf});
   }
   return true;
 }
 
 template <typename Pred>
 std::optional<Process::InMsg> Process::match(Pred pred) {
-  for (auto it = inbox_.begin(); it != inbox_.end(); ++it) {
+  for (auto it = state_.inbox.begin(); it != state_.inbox.end(); ++it) {
     if (pred(it->header)) {
       InMsg m = *it;
-      inbox_.erase(it);
-      progress_ = true;
+      state_.inbox.erase(it);
+      state_.progress = true;
       return m;
     }
   }
   return std::nullopt;
 }
 
-void Process::push_packet_to(int dest, const MsgHeader& h,
-                             std::span<const std::byte> payload) {
+std::optional<Process::InMsg> Process::take_data(int src, std::int32_t tag) {
+  auto msg = match([&](const MsgHeader& h) {
+    return h.msg_kind() == MsgKind::kData && h.tag == tag &&
+           (src == kAnySource || h.src == src);
+  });
+  if (msg) state_.cts_sent.erase({msg->header.src, msg->header.seq});
+  return msg;
+}
+
+void Process::send_data(int dest, std::int32_t tag, std::uint32_t seq,
+                        std::span<const std::byte> payload,
+                        std::uint32_t ctrl_arg) {
+  MsgHeader h;
+  h.kind = static_cast<std::uint32_t>(MsgKind::kData);
+  h.src = rank_;
+  h.dst = dest;
+  h.tag = tag;
+  h.seq = seq;
+  h.payload_len = static_cast<std::uint32_t>(payload.size());
+  h.ctrl_arg = ctrl_arg;
   world_->enqueue_to(dest, serialize_packet(h, payload));
+}
+
+void Process::send_control(CtrlOp op, int dest, std::int32_t tag,
+                           std::uint32_t ctrl_arg, std::uint32_t seq) {
+  MsgHeader h;
+  h.kind = static_cast<std::uint32_t>(MsgKind::kControl);
+  h.ctrl_op = static_cast<std::uint32_t>(op);
+  h.src = rank_;
+  h.dst = dest;
+  h.tag = tag;
+  h.seq = seq;
+  h.ctrl_arg = ctrl_arg;
+  world_->enqueue_to(dest, serialize_packet(h, {}));
+}
+
+std::vector<std::byte> Process::payload_of(const InMsg& msg) const {
+  std::vector<std::byte> bytes(msg.header.payload_len);
+  FSIM_CHECK(machine_->memory().peek_span(msg.buffer, bytes));
+  return bytes;
+}
+
+bool Process::deliver(const InMsg& msg, Addr dest) {
+  if (msg.header.payload_len == 0) return true;
+  return machine_->memory().poke_span(dest, payload_of(msg));
 }
 
 void Process::release(const InMsg& msg) {
   if (msg.buffer != 0) heap().free(msg.buffer);
+}
+
+// ---------------------------------------------------------------------------
+// Rendezvous steps: RTS -> CTS -> DATA
+// ---------------------------------------------------------------------------
+
+void Process::answer_rts(int src, std::int32_t tag) {
+  for (const InMsg& im : state_.inbox) {
+    const MsgHeader& h = im.header;
+    if (h.msg_kind() == MsgKind::kControl &&
+        h.control_op() == CtrlOp::kRts && h.tag == tag &&
+        (src == kAnySource || h.src == src) &&
+        h.src >= 0 && h.src < world_->size() &&  // corrupted src: no CTS
+        !state_.cts_sent.count({h.src, h.seq})) {
+      state_.cts_sent.insert({h.src, h.seq});
+      // The CTS echoes the RTS sequence number.
+      send_control(CtrlOp::kCts, h.src, h.tag, /*ctrl_arg=*/h.seq);
+      return;
+    }
+  }
+}
+
+bool Process::send_on_cts(int dest, std::int32_t tag, std::uint32_t seq,
+                          std::span<const std::byte> payload) {
+  auto cts = match([&](const MsgHeader& h) {
+    return h.msg_kind() == MsgKind::kControl &&
+           h.control_op() == CtrlOp::kCts && h.src == dest &&
+           h.ctrl_arg == seq;
+  });
+  if (!cts) return false;
+  send_data(dest, tag, seq, payload);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -199,11 +290,13 @@ SysResult Process::on_mpi_syscall(Machine& m, Sys number) {
     case Sys::kMpiFinalize:
       return do_finalize(m);
     case Sys::kMpiCommRank:
-      if (!initialized_) return mpich_fatal("MPI_Comm_rank before MPI_Init");
+      if (!state_.initialized)
+        return mpich_fatal("MPI_Comm_rank before MPI_Init");
       m.set_result(static_cast<std::uint32_t>(rank_));
       return done();
     case Sys::kMpiCommSize:
-      if (!initialized_) return mpich_fatal("MPI_Comm_size before MPI_Init");
+      if (!state_.initialized)
+        return mpich_fatal("MPI_Comm_size before MPI_Init");
       m.set_result(static_cast<std::uint32_t>(world_->size()));
       return done();
     case Sys::kMpiSend:
@@ -219,9 +312,9 @@ SysResult Process::on_mpi_syscall(Machine& m, Sys number) {
     case Sys::kMpiReduceSum:
       return do_reduce(m, /*all=*/false);
     case Sys::kMpiErrhandlerSet:
-      if (!initialized_)
+      if (!state_.initialized)
         return mpich_fatal("MPI_Errhandler_set before MPI_Init");
-      errhandler_ = m.arg(0) != 0;
+      state_.errhandler = m.arg(0) != 0;
       return done();
     case Sys::kMpiIsend:
       return do_isend(m);
@@ -246,16 +339,16 @@ SysResult Process::on_mpi_syscall(Machine& m, Sys number) {
 }
 
 SysResult Process::do_init(Machine& m) {
-  if (initialized_) return mpich_fatal("MPI_Init called twice");
-  initialized_ = true;
+  if (state_.initialized) return mpich_fatal("MPI_Init called twice");
+  state_.initialized = true;
   (void)m;
   return done();
 }
 
 SysResult Process::do_finalize(Machine& m) {
-  if (!initialized_) return mpich_fatal("MPI_Finalize before MPI_Init");
-  if (finalized_) return mpich_fatal("MPI_Finalize called twice");
-  finalized_ = true;
+  if (!state_.initialized) return mpich_fatal("MPI_Finalize before MPI_Init");
+  if (state_.finalized) return mpich_fatal("MPI_Finalize called twice");
+  state_.finalized = true;
   (void)m;
   return done();
 }
@@ -265,145 +358,66 @@ SysResult Process::do_finalize(Machine& m) {
 // ---------------------------------------------------------------------------
 
 SysResult Process::do_send(Machine& m) {
-  const Addr buf = m.arg(0);
-  const std::uint32_t len = m.arg(1);
-  const int dest = static_cast<std::int32_t>(m.arg(2));
-  const std::int32_t tag = static_cast<std::int32_t>(m.arg(3));
-
-  if (!initialized_ || finalized_)
-    return mpich_fatal("MPI_Send outside init/finalize window");
-  if (dest < 0 || dest >= world_->size())
-    return arg_error("MPI_Send", "invalid destination rank " +
-                                     std::to_string(dest));
-  if (len > kMaxMessageBytes)
-    return arg_error("MPI_Send", "invalid count " + std::to_string(len));
-  if (tag < 0 || tag >= kReservedTagBase)
-    return arg_error("MPI_Send", "invalid tag " + std::to_string(tag));
-
-  std::vector<std::byte> payload(len);
-  if (len > 0 && !machine_->memory().peek_span(buf, payload))
-    return arg_error("MPI_Send", "unreadable send buffer");
+  // A blocked send retries from here: its arguments and send buffer are
+  // read, checked and charged again on every retry.
+  SendArgs a;
+  if (const SysResult res = send_args(m, "MPI_Send", a);
+      res != SysResult::kDone)
+    return res;
+  const auto len = static_cast<std::uint32_t>(a.payload.size());
 
   m.charge(40 + len / 32);  // library overhead model
 
   if (len <= world_->eager_threshold()) {
-    MsgHeader h;
-    h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-    h.src = rank_;
-    h.dst = dest;
-    h.tag = tag;
-    h.seq = send_seq_++;
-    h.payload_len = len;
-    push_packet_to(dest, h, payload);
+    send_data(a.dest, a.tag, state_.send_seq++, a.payload);
     return done();
   }
 
   // Rendezvous: RTS -> (block) -> CTS -> DATA.
-  if (!rndv_.active) {
-    MsgHeader rts;
-    rts.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-    rts.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kRts);
-    rts.src = rank_;
-    rts.dst = dest;
-    rts.tag = tag;
-    rts.seq = send_seq_++;
-    rts.ctrl_arg = len;  // advertised size
-    rndv_.active = true;
-    rndv_.seq = rts.seq;
-    push_packet_to(dest, rts, {});
+  RndvState& rndv = state_.rndv;
+  if (!rndv.active) {
+    rndv.active = true;
+    rndv.seq = state_.send_seq++;
+    // The RTS advertises the payload size.
+    send_control(CtrlOp::kRts, a.dest, a.tag, /*ctrl_arg=*/len, rndv.seq);
     return SysResult::kBlock;
   }
   if (!pump_channel()) return SysResult::kExit;
-  auto cts = match([&](const MsgHeader& h) {
-    return h.msg_kind() == MsgKind::kControl &&
-           h.control_op() == CtrlOp::kCts && h.src == dest &&
-           h.ctrl_arg == rndv_.seq;
-  });
-  if (!cts) return SysResult::kBlock;
-
-  MsgHeader h;
-  h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-  h.src = rank_;
-  h.dst = dest;
-  h.tag = tag;
-  h.seq = rndv_.seq;
-  h.payload_len = len;
-  rndv_ = {};
-  push_packet_to(dest, h, payload);
+  if (!send_on_cts(a.dest, a.tag, rndv.seq, a.payload))
+    return SysResult::kBlock;
+  rndv = {};
   return done();
 }
 
 SysResult Process::do_recv(Machine& m) {
-  const Addr buf = m.arg(0);
-  const std::uint32_t cap = m.arg(1);
-  const int src = static_cast<std::int32_t>(m.arg(2));
-  const std::int32_t tag = static_cast<std::int32_t>(m.arg(3));
-
-  if (!initialized_ || finalized_)
-    return mpich_fatal("MPI_Recv outside init/finalize window");
-  if (src < kAnySource || src >= world_->size())
-    return arg_error("MPI_Recv", "invalid source rank " + std::to_string(src));
-  if (cap > kMaxMessageBytes)
-    return arg_error("MPI_Recv", "invalid count " + std::to_string(cap));
-  if (tag < 0 || tag >= kReservedTagBase)
-    return arg_error("MPI_Recv", "invalid tag " + std::to_string(tag));
-  if (cap > 0) {
-    std::uint8_t probe = 0;
-    if (!machine_->memory().peek8(buf, probe) ||
-        !machine_->memory().peek8(buf + cap - 1, probe))
-      return arg_error("MPI_Recv", "unwritable receive buffer");
-  }
+  RecvArgs a;
+  if (const SysResult res = recv_args(m, "MPI_Recv", a);
+      res != SysResult::kDone)
+    return res;
 
   if (!pump_channel()) return SysResult::kExit;
 
-  auto msg = match([&](const MsgHeader& h) {
-    return h.msg_kind() == MsgKind::kData && h.tag == tag &&
-           (src == kAnySource || h.src == src);
-  });
-  if (msg) {
-    cts_sent_.erase({msg->header.src, msg->header.seq});
-    if (msg->header.payload_len > cap) {
-      release(*msg);
-      return mpich_fatal("message truncated (got " +
-                         std::to_string(msg->header.payload_len) +
-                         " bytes, buffer holds " + std::to_string(cap) + ")");
-    }
-    if (msg->header.payload_len > 0) {
-      std::vector<std::byte> bytes(msg->header.payload_len);
-      FSIM_CHECK(machine_->memory().peek_span(msg->buffer, bytes));
-      if (!machine_->memory().poke_span(buf, bytes)) {
-        release(*msg);
-        return arg_error("MPI_Recv", "unwritable receive buffer");
-      }
-    }
+  auto msg = take_data(a.src, a.tag);
+  if (!msg) {
+    // No data yet: answer any matching rendezvous request so the sender
+    // can push the payload.
+    answer_rts(a.src, a.tag);
+    return SysResult::kBlock;
+  }
+  if (msg->header.payload_len > a.cap) {
     release(*msg);
-    m.charge(40 + msg->header.payload_len / 32);
-    m.set_result(msg->header.payload_len);
-    return done();
+    return mpich_fatal("message truncated (got " +
+                       std::to_string(msg->header.payload_len) +
+                       " bytes, buffer holds " + std::to_string(a.cap) + ")");
   }
-
-  // No data yet: answer any matching rendezvous request so the sender can
-  // push the payload.
-  for (const InMsg& im : inbox_) {
-    const MsgHeader& h = im.header;
-    if (h.msg_kind() == MsgKind::kControl &&
-        h.control_op() == CtrlOp::kRts && h.tag == tag &&
-        (src == kAnySource || h.src == src) &&
-        h.src >= 0 && h.src < world_->size() &&  // corrupted src: no CTS
-        !cts_sent_.count({h.src, h.seq})) {
-      MsgHeader cts;
-      cts.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-      cts.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kCts);
-      cts.src = rank_;
-      cts.dst = h.src;
-      cts.tag = h.tag;
-      cts.ctrl_arg = h.seq;  // echo the RTS sequence number
-      cts_sent_.insert({h.src, h.seq});
-      push_packet_to(h.src, cts, {});
-      break;
-    }
+  if (!deliver(*msg, a.buf)) {
+    release(*msg);
+    return arg_error("MPI_Recv", "unwritable receive buffer");
   }
-  return SysResult::kBlock;
+  release(*msg);
+  m.charge(40 + msg->header.payload_len / 32);
+  m.set_result(msg->header.payload_len);
+  return done();
 }
 
 // ---------------------------------------------------------------------------
@@ -411,19 +425,20 @@ SysResult Process::do_recv(Machine& m) {
 // ---------------------------------------------------------------------------
 
 std::uint32_t Process::alloc_request() {
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
-    if (requests_[i].kind == Request::Kind::kFree) {
-      requests_[i] = Request{};
+  std::vector<Request>& requests = state_.requests;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].kind == Request::Kind::kFree) {
+      requests[i] = Request{};
       return static_cast<std::uint32_t>(i + 1);
     }
   }
-  requests_.push_back(Request{});
-  return static_cast<std::uint32_t>(requests_.size());
+  requests.push_back(Request{});
+  return static_cast<std::uint32_t>(requests.size());
 }
 
 Process::Request* Process::request(std::uint32_t id) {
-  if (id == 0 || id > requests_.size()) return nullptr;
-  Request* r = &requests_[id - 1];
+  if (id == 0 || id > state_.requests.size()) return nullptr;
+  Request* r = &state_.requests[id - 1];
   return r->kind == Request::Kind::kFree ? nullptr : r;
 }
 
@@ -431,168 +446,87 @@ bool Process::progress() {
   if (!pump_channel()) return false;
 
   // 1. Rendezvous sends whose CTS arrived: push the data packet.
-  for (Request& r : requests_) {
+  for (Request& r : state_.requests) {
     if (r.kind != Request::Kind::kSend || r.complete || !r.rts) continue;
-    auto cts = match([&](const MsgHeader& h) {
-      return h.msg_kind() == MsgKind::kControl &&
-             h.control_op() == CtrlOp::kCts && h.src == r.peer &&
-             h.ctrl_arg == r.seq;
-    });
-    if (!cts) continue;
-    MsgHeader h;
-    h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-    h.src = rank_;
-    h.dst = r.peer;
-    h.tag = r.tag;
-    h.seq = r.seq;
-    h.payload_len = static_cast<std::uint32_t>(r.payload.size());
-    push_packet_to(r.peer, h, r.payload);
+    if (!send_on_cts(r.peer, r.tag, r.seq, r.payload)) continue;
     r.payload.clear();
     r.complete = true;
     if (r.auto_free) r = Request{};
   }
 
   // 2. Posted receives, in posting order (MPI matching semantics).
-  for (Request& r : requests_) {
+  for (Request& r : state_.requests) {
     if (r.kind != Request::Kind::kRecv || r.complete) continue;
-    auto msg = match([&](const MsgHeader& h) {
-      return h.msg_kind() == MsgKind::kData && h.tag == r.tag &&
-             (r.peer == kAnySource || h.src == r.peer);
-    });
-    if (msg) {
-      cts_sent_.erase({msg->header.src, msg->header.seq});
-      if (msg->header.payload_len > r.cap) {
-        release(*msg);
-        mpich_fatal("message truncated (posted receive)");
-        return false;
-      }
-      if (msg->header.payload_len > 0) {
-        std::vector<std::byte> bytes(msg->header.payload_len);
-        FSIM_CHECK(machine_->memory().peek_span(msg->buffer, bytes));
-        if (!machine_->memory().poke_span(r.buf, bytes)) {
-          release(*msg);
-          mpich_fatal("unwritable buffer of posted receive");
-          return false;
-        }
-      }
-      r.bytes = msg->header.payload_len;
-      r.complete = true;
-      release(*msg);
-      machine_->charge(40 + r.bytes / 32);
+    auto msg = take_data(r.peer, r.tag);
+    if (!msg) {
+      // No data yet: answer one matching rendezvous request.
+      answer_rts(r.peer, r.tag);
       continue;
     }
-    // No data yet: answer one matching rendezvous request.
-    for (const InMsg& im : inbox_) {
-      const MsgHeader& h = im.header;
-      if (h.msg_kind() == MsgKind::kControl &&
-          h.control_op() == CtrlOp::kRts && h.tag == r.tag &&
-          (r.peer == kAnySource || h.src == r.peer) && h.src >= 0 &&
-          h.src < world_->size() && !cts_sent_.count({h.src, h.seq})) {
-        MsgHeader cts;
-        cts.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-        cts.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kCts);
-        cts.src = rank_;
-        cts.dst = h.src;
-        cts.tag = h.tag;
-        cts.ctrl_arg = h.seq;
-        cts_sent_.insert({h.src, h.seq});
-        push_packet_to(h.src, cts, {});
-        break;
-      }
+    if (msg->header.payload_len > r.cap) {
+      release(*msg);
+      mpich_fatal("message truncated (posted receive)");
+      return false;
     }
+    if (!deliver(*msg, r.buf)) {
+      release(*msg);
+      mpich_fatal("unwritable buffer of posted receive");
+      return false;
+    }
+    r.bytes = msg->header.payload_len;
+    r.complete = true;
+    release(*msg);
+    machine_->charge(40 + r.bytes / 32);
   }
   return true;
 }
 
 svm::SysResult Process::do_isend(Machine& m) {
-  const Addr buf = m.arg(0);
-  const std::uint32_t len = m.arg(1);
-  const int dest = static_cast<std::int32_t>(m.arg(2));
-  const std::int32_t tag = static_cast<std::int32_t>(m.arg(3));
-
-  if (!initialized_ || finalized_)
-    return mpich_fatal("MPI_Isend outside init/finalize window");
-  if (dest < 0 || dest >= world_->size())
-    return arg_error("MPI_Isend",
-                     "invalid destination rank " + std::to_string(dest));
-  if (len > kMaxMessageBytes)
-    return arg_error("MPI_Isend", "invalid count " + std::to_string(len));
-  if (tag < 0 || tag >= kReservedTagBase)
-    return arg_error("MPI_Isend", "invalid tag " + std::to_string(tag));
-
-  std::vector<std::byte> payload(len);
-  if (len > 0 && !machine_->memory().peek_span(buf, payload))
-    return arg_error("MPI_Isend", "unreadable send buffer");
+  SendArgs a;
+  if (const SysResult res = send_args(m, "MPI_Isend", a);
+      res != SysResult::kDone)
+    return res;
+  const auto len = static_cast<std::uint32_t>(a.payload.size());
 
   m.charge(40 + len / 32);
   const std::uint32_t id = alloc_request();
-  Request& r = requests_[id - 1];
+  Request& r = state_.requests[id - 1];
   r.kind = Request::Kind::kSend;
-  r.peer = dest;
-  r.tag = tag;
+  r.peer = a.dest;
+  r.tag = a.tag;
 
   if (len <= world_->eager_threshold()) {
-    MsgHeader h;
-    h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-    h.src = rank_;
-    h.dst = dest;
-    h.tag = tag;
-    h.seq = send_seq_++;
-    h.payload_len = len;
-    push_packet_to(dest, h, payload);
+    send_data(a.dest, a.tag, state_.send_seq++, a.payload);
     r.complete = true;  // buffered: the payload is on the wire
   } else {
-    MsgHeader rts;
-    rts.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-    rts.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kRts);
-    rts.src = rank_;
-    rts.dst = dest;
-    rts.tag = tag;
-    rts.seq = send_seq_++;
-    rts.ctrl_arg = len;
-    r.seq = rts.seq;
+    r.seq = state_.send_seq++;
     r.rts = true;
-    r.payload = std::move(payload);
-    push_packet_to(dest, rts, {});
+    r.payload = std::move(a.payload);
+    send_control(CtrlOp::kRts, a.dest, a.tag, /*ctrl_arg=*/len, r.seq);
   }
   m.set_result(id);
   return done();
 }
 
 svm::SysResult Process::do_irecv(Machine& m) {
-  const Addr buf = m.arg(0);
-  const std::uint32_t cap = m.arg(1);
-  const int src = static_cast<std::int32_t>(m.arg(2));
-  const std::int32_t tag = static_cast<std::int32_t>(m.arg(3));
-
-  if (!initialized_ || finalized_)
-    return mpich_fatal("MPI_Irecv outside init/finalize window");
-  if (src < kAnySource || src >= world_->size())
-    return arg_error("MPI_Irecv", "invalid source rank " + std::to_string(src));
-  if (cap > kMaxMessageBytes)
-    return arg_error("MPI_Irecv", "invalid count " + std::to_string(cap));
-  if (tag < 0 || tag >= kReservedTagBase)
-    return arg_error("MPI_Irecv", "invalid tag " + std::to_string(tag));
-  if (cap > 0) {
-    std::uint8_t probe = 0;
-    if (!machine_->memory().peek8(buf, probe) ||
-        !machine_->memory().peek8(buf + cap - 1, probe))
-      return arg_error("MPI_Irecv", "unwritable receive buffer");
-  }
+  RecvArgs a;
+  if (const SysResult res = recv_args(m, "MPI_Irecv", a);
+      res != SysResult::kDone)
+    return res;
 
   const std::uint32_t id = alloc_request();
-  Request& r = requests_[id - 1];
+  Request& r = state_.requests[id - 1];
   r.kind = Request::Kind::kRecv;
-  r.buf = buf;
-  r.cap = cap;
-  r.peer = src;
-  r.tag = tag;
+  r.buf = a.buf;
+  r.cap = a.cap;
+  r.peer = a.src;
+  r.tag = a.tag;
   m.set_result(id);
   return done();
 }
 
 svm::SysResult Process::do_wait(Machine& m) {
-  if (!initialized_) return mpich_fatal("MPI_Wait before MPI_Init");
+  if (!state_.initialized) return mpich_fatal("MPI_Wait before MPI_Init");
   const std::uint32_t id = m.arg(0);
   Request* r = request(id);
   if (r == nullptr)
@@ -605,7 +539,7 @@ svm::SysResult Process::do_wait(Machine& m) {
 }
 
 svm::SysResult Process::do_test(Machine& m) {
-  if (!initialized_) return mpich_fatal("MPI_Test before MPI_Init");
+  if (!state_.initialized) return mpich_fatal("MPI_Test before MPI_Init");
   const std::uint32_t id = m.arg(0);
   Request* r = request(id);
   if (r == nullptr)
@@ -623,14 +557,14 @@ svm::SysResult Process::do_test(Machine& m) {
 svm::SysResult Process::do_probe(Machine& m) {
   const int src = static_cast<std::int32_t>(m.arg(0));
   const std::int32_t tag = static_cast<std::int32_t>(m.arg(1));
-  if (!initialized_ || finalized_)
+  if (!state_.initialized || state_.finalized)
     return mpich_fatal("MPI_Probe outside init/finalize window");
   if (src < kAnySource || src >= world_->size())
     return arg_error("MPI_Probe", "invalid source rank " + std::to_string(src));
   if (tag < 0 || tag >= kReservedTagBase)
     return arg_error("MPI_Probe", "invalid tag " + std::to_string(tag));
   if (!progress()) return svm::SysResult::kExit;
-  for (const InMsg& im : inbox_) {
+  for (const InMsg& im : state_.inbox) {
     const MsgHeader& h = im.header;
     const bool src_ok = src == kAnySource || h.src == src;
     if (h.msg_kind() == MsgKind::kData && h.tag == tag && src_ok) {
@@ -647,7 +581,7 @@ svm::SysResult Process::do_probe(Machine& m) {
 }
 
 svm::SysResult Process::do_sendrecv(Machine& m) {
-  if (!initialized_ || finalized_)
+  if (!state_.initialized || state_.finalized)
     return mpich_fatal("MPI_Sendrecv outside init/finalize window");
   // Parameters arrive as an 8-word block in simulated memory.
   const Addr block = m.arg(0);
@@ -657,7 +591,7 @@ svm::SysResult Process::do_sendrecv(Machine& m) {
       return arg_error("MPI_Sendrecv", "unreadable parameter block");
   }
 
-  if (blocking_sendrecv_ == 0) {
+  if (state_.blocking_sendrecv == 0) {
     // First execution: launch both halves through the request machinery by
     // reusing the Isend/Irecv argument registers.
     svm::RegFile saved = m.regs();
@@ -678,7 +612,7 @@ svm::SysResult Process::do_sendrecv(Machine& m) {
     m.regs() = saved;
     // The send half is buffered/asynchronous; only the receive half gates
     // completion. Remember it across retries.
-    blocking_sendrecv_ = recv_id;
+    state_.blocking_sendrecv = recv_id;
     if (Request* send_req = request(send_id)) {
       if (send_req->complete)
         *send_req = Request{};
@@ -688,12 +622,12 @@ svm::SysResult Process::do_sendrecv(Machine& m) {
   }
 
   if (!progress()) return svm::SysResult::kExit;
-  Request* r = request(blocking_sendrecv_);
+  Request* r = request(state_.blocking_sendrecv);
   FSIM_CHECK(r != nullptr);
   if (!r->complete) return svm::SysResult::kBlock;
   m.set_result(r->bytes);
   *r = Request{};
-  blocking_sendrecv_ = 0;
+  state_.blocking_sendrecv = 0;
   return done();
 }
 
@@ -704,7 +638,7 @@ svm::SysResult Process::do_sendrecv(Machine& m) {
 // ---------------------------------------------------------------------------
 
 SysResult Process::do_barrier(Machine& m) {
-  if (!initialized_ || finalized_)
+  if (!state_.initialized || state_.finalized)
     return mpich_fatal("MPI_Barrier outside init/finalize window");
   m.charge(20);
   const int n = world_->size();
@@ -714,53 +648,34 @@ SysResult Process::do_barrier(Machine& m) {
 
   if (!pump_channel()) return SysResult::kExit;
 
+  CollState& coll = state_.coll;
+  const std::uint32_t epoch = state_.barrier_epoch;
   if (rank_ != 0) {
-    if (!coll_.sent) {
-      MsgHeader h;
-      h.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-      h.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kBarrier);
-      h.src = rank_;
-      h.dst = 0;
-      h.tag = kTagBarrier;
-      h.ctrl_arg = barrier_epoch_;
-      coll_.sent = true;
-      push_packet_to(0, h, {});
+    if (!coll.sent) {
+      coll.sent = true;
+      send_control(CtrlOp::kBarrier, 0, kTagBarrier, epoch);
     }
     auto rel = match([&](const MsgHeader& h) {
       return h.msg_kind() == MsgKind::kControl &&
-             h.control_op() == CtrlOp::kBarrierRel &&
-             h.ctrl_arg == barrier_epoch_;
+             h.control_op() == CtrlOp::kBarrierRel && h.ctrl_arg == epoch;
     });
     if (!rel) return SysResult::kBlock;
-    coll_ = {};
-    ++barrier_epoch_;
-    return done();
+    return finish_collective(state_.barrier_epoch);
   }
 
   // Rank 0 gathers arrival tokens, then releases everyone.
   while (true) {
     auto tok = match([&](const MsgHeader& h) {
       return h.msg_kind() == MsgKind::kControl &&
-             h.control_op() == CtrlOp::kBarrier &&
-             h.ctrl_arg == barrier_epoch_;
+             h.control_op() == CtrlOp::kBarrier && h.ctrl_arg == epoch;
     });
     if (!tok) break;
-    ++coll_.counter;
+    ++coll.counter;
   }
-  if (coll_.counter < n - 1) return SysResult::kBlock;
-  for (int r = 1; r < n; ++r) {
-    MsgHeader h;
-    h.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-    h.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kBarrierRel);
-    h.src = 0;
-    h.dst = r;
-    h.tag = kTagBarrier;
-    h.ctrl_arg = barrier_epoch_;
-    push_packet_to(r, h, {});
-  }
-  coll_ = {};
-  ++barrier_epoch_;
-  return done();
+  if (coll.counter < n - 1) return SysResult::kBlock;
+  for (int r = 1; r < n; ++r)
+    send_control(CtrlOp::kBarrierRel, r, kTagBarrier, epoch);
+  return finish_collective(state_.barrier_epoch);
 }
 
 SysResult Process::do_bcast(Machine& m) {
@@ -768,7 +683,7 @@ SysResult Process::do_bcast(Machine& m) {
   const std::uint32_t len = m.arg(1);
   const int root = static_cast<std::int32_t>(m.arg(2));
 
-  if (!initialized_ || finalized_)
+  if (!state_.initialized || state_.finalized)
     return mpich_fatal("MPI_Bcast outside init/finalize window");
   if (root < 0 || root >= world_->size())
     return arg_error("MPI_Bcast", "invalid root " + std::to_string(root));
@@ -781,47 +696,58 @@ SysResult Process::do_bcast(Machine& m) {
       world_->collective_algorithm() == CollectiveAlgorithm::kBinomialTree)
     return do_bcast_tree(m, buf, len, root);
 
+  const std::uint32_t epoch = state_.bcast_epoch;
   if (rank_ == root) {
     std::vector<std::byte> payload(len);
     if (len > 0 && !machine_->memory().peek_span(buf, payload))
       return arg_error("MPI_Bcast", "unreadable buffer");
     for (int r = 0; r < n; ++r) {
       if (r == root) continue;
-      MsgHeader h;
-      h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-      h.src = rank_;
-      h.dst = r;
-      h.tag = kTagBcast;
-      h.seq = send_seq_++;
-      h.payload_len = len;
-      h.ctrl_arg = bcast_epoch_;
-      push_packet_to(r, h, payload);
+      send_data(r, kTagBcast, state_.send_seq++, payload, epoch);
     }
-    ++bcast_epoch_;
+    ++state_.bcast_epoch;
     return done();
   }
 
   if (!pump_channel()) return SysResult::kExit;
   auto msg = match([&](const MsgHeader& h) {
     return h.msg_kind() == MsgKind::kData && h.tag == kTagBcast &&
-           h.src == root && h.ctrl_arg == bcast_epoch_;
+           h.src == root && h.ctrl_arg == epoch;
   });
   if (!msg) return SysResult::kBlock;
   if (msg->header.payload_len != len) {
     release(*msg);
     return mpich_fatal("MPI_Bcast size mismatch");
   }
-  if (len > 0) {
-    std::vector<std::byte> bytes(len);
-    FSIM_CHECK(machine_->memory().peek_span(msg->buffer, bytes));
-    if (!machine_->memory().poke_span(buf, bytes)) {
-      release(*msg);
-      return arg_error("MPI_Bcast", "unwritable buffer");
-    }
+  if (!deliver(*msg, buf)) {
+    release(*msg);
+    return arg_error("MPI_Bcast", "unwritable buffer");
   }
   release(*msg);
-  ++bcast_epoch_;
+  ++state_.bcast_epoch;
   return done();
+}
+
+bool Process::read_doubles(Addr addr, std::uint32_t count,
+                           std::vector<double>& out) {
+  out.resize(count);
+  std::vector<std::byte> raw(count * sizeof(double));
+  if (raw.empty()) return true;
+  if (!machine_->memory().peek_span(addr, raw)) return false;
+  std::memcpy(out.data(), raw.data(), raw.size());
+  return true;
+}
+
+bool Process::write_doubles(Addr addr, const std::vector<double>& in) {
+  return in.empty() || machine_->memory().poke_span(addr, bytes_of(in));
+}
+
+void Process::accumulate(const InMsg& msg) {
+  if (msg.header.payload_len == 0) return;
+  const std::vector<std::byte> raw = payload_of(msg);
+  std::vector<double> vals(raw.size() / sizeof(double));
+  std::memcpy(vals.data(), raw.data(), raw.size());
+  for (std::size_t i = 0; i < vals.size(); ++i) state_.coll.accum[i] += vals[i];
 }
 
 SysResult Process::do_reduce(Machine& m, bool all) {
@@ -831,7 +757,7 @@ SysResult Process::do_reduce(Machine& m, bool all) {
   const int root = all ? 0 : static_cast<std::int32_t>(m.arg(3));
   const char* name = all ? "MPI_Allreduce" : "MPI_Reduce";
 
-  if (!initialized_ || finalized_)
+  if (!state_.initialized || state_.finalized)
     return mpich_fatal(std::string(name) + " outside init/finalize window");
   if (root < 0 || root >= world_->size())
     return arg_error(name, "invalid root " + std::to_string(root));
@@ -845,127 +771,75 @@ SysResult Process::do_reduce(Machine& m, bool all) {
       world_->collective_algorithm() == CollectiveAlgorithm::kBinomialTree)
     return do_reduce_tree(m, all, sendbuf, recvbuf, count, root);
 
-  auto read_doubles = [&](Addr addr, std::vector<double>& out) {
-    out.resize(count);
-    std::vector<std::byte> raw(bytes);
-    if (bytes > 0 && !machine_->memory().peek_span(addr, raw)) return false;
-    if (bytes > 0) std::memcpy(out.data(), raw.data(), bytes);
-    return true;
-  };
-  auto write_doubles = [&](Addr addr, const std::vector<double>& in) {
-    if (bytes == 0) return true;
-    std::vector<std::byte> raw(bytes);
-    std::memcpy(raw.data(), in.data(), bytes);
-    return machine_->memory().poke_span(addr, raw);
-  };
-
   if (!pump_channel()) return SysResult::kExit;
 
+  CollState& coll = state_.coll;
+  const std::uint32_t epoch = state_.reduce_epoch;
   // Phase 0: contribute (non-root) or gather (root).
-  if (coll_.phase == 0) {
+  if (coll.phase == 0) {
     if (rank_ != root) {
-      if (!coll_.sent) {
-        std::vector<double> mine;
-        if (!read_doubles(sendbuf, mine))
-          return arg_error(name, "unreadable send buffer");
+      if (!coll.sent) {
         std::vector<std::byte> payload(bytes);
-        if (bytes > 0) std::memcpy(payload.data(), mine.data(), bytes);
-        MsgHeader h;
-        h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-        h.src = rank_;
-        h.dst = root;
-        h.tag = kTagReduce;
-        h.seq = send_seq_++;
-        h.payload_len = bytes;
-        h.ctrl_arg = reduce_epoch_;
-        coll_.sent = true;
-        push_packet_to(root, h, payload);
-      }
-      if (!all) {  // plain reduce: non-roots are done after contributing
-        coll_ = {};
-        ++reduce_epoch_;
-        return done();
-      }
-      coll_.phase = 1;  // allreduce: wait for the result broadcast
-    } else {
-      if (coll_.accum.empty()) {
-        if (!read_doubles(sendbuf, coll_.accum))
+        if (bytes > 0 && !machine_->memory().peek_span(sendbuf, payload))
           return arg_error(name, "unreadable send buffer");
-        if (count == 0) coll_.accum.resize(0);
+        coll.sent = true;
+        send_data(root, kTagReduce, state_.send_seq++, payload, epoch);
       }
+      // Plain reduce: non-roots are done after contributing.
+      if (!all) return finish_collective(state_.reduce_epoch);
+      coll.phase = 1;  // allreduce: wait for the result broadcast
+    } else {
+      if (coll.accum.empty() && !read_doubles(sendbuf, count, coll.accum))
+        return arg_error(name, "unreadable send buffer");
       // Accumulate contributions in ARRIVAL order: with scheduler jitter the
       // order varies between seeds, so low-order floating-point bits differ —
       // the NAMD-style nondeterminism of §4.2.2.
-      while (coll_.counter < n - 1) {
+      while (coll.counter < n - 1) {
         auto msg = match([&](const MsgHeader& h) {
           return h.msg_kind() == MsgKind::kData && h.tag == kTagReduce &&
-                 h.ctrl_arg == reduce_epoch_;
+                 h.ctrl_arg == epoch;
         });
         if (!msg) break;
         if (msg->header.payload_len != bytes) {
           release(*msg);
           return mpich_fatal(std::string(name) + " size mismatch");
         }
-        std::vector<std::byte> raw(bytes);
-        if (bytes > 0) {
-          FSIM_CHECK(machine_->memory().peek_span(msg->buffer, raw));
-          std::vector<double> vals(count);
-          std::memcpy(vals.data(), raw.data(), bytes);
-          for (std::uint32_t i = 0; i < count; ++i)
-            coll_.accum[i] += vals[i];
-        }
+        accumulate(*msg);
         release(*msg);
-        ++coll_.counter;
+        ++coll.counter;
       }
-      if (coll_.counter < n - 1) return SysResult::kBlock;
-      if (!write_doubles(recvbuf, coll_.accum))
+      if (coll.counter < n - 1) return SysResult::kBlock;
+      if (!write_doubles(recvbuf, coll.accum))
         return arg_error(name, "unwritable receive buffer");
       if (all) {
         // Broadcast the result inline.
-        std::vector<std::byte> payload(bytes);
-        if (bytes > 0)
-          std::memcpy(payload.data(), coll_.accum.data(), bytes);
+        const std::vector<std::byte> payload = bytes_of(coll.accum);
         for (int r = 0; r < n; ++r) {
           if (r == root) continue;
-          MsgHeader h;
-          h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-          h.src = rank_;
-          h.dst = r;
-          h.tag = kTagReduce;
-          h.seq = send_seq_++;
-          h.payload_len = bytes;
-          h.ctrl_arg = reduce_epoch_ | 0x80000000u;  // result flag
-          push_packet_to(r, h, payload);
+          send_data(r, kTagReduce, state_.send_seq++, payload,
+                    epoch | kResultFlag);
         }
       }
-      coll_ = {};
-      ++reduce_epoch_;
-      return done();
+      return finish_collective(state_.reduce_epoch);
     }
   }
 
   // Phase 1 (allreduce non-root): receive the result broadcast.
   auto msg = match([&](const MsgHeader& h) {
     return h.msg_kind() == MsgKind::kData && h.tag == kTagReduce &&
-           h.src == root && h.ctrl_arg == (reduce_epoch_ | 0x80000000u);
+           h.src == root && h.ctrl_arg == (epoch | kResultFlag);
   });
   if (!msg) return SysResult::kBlock;
   if (msg->header.payload_len != bytes) {
     release(*msg);
     return mpich_fatal(std::string(name) + " size mismatch");
   }
-  if (bytes > 0) {
-    std::vector<std::byte> raw(bytes);
-    FSIM_CHECK(machine_->memory().peek_span(msg->buffer, raw));
-    if (!machine_->memory().poke_span(recvbuf, raw)) {
-      release(*msg);
-      return arg_error(name, "unwritable receive buffer");
-    }
+  if (!deliver(*msg, recvbuf)) {
+    release(*msg);
+    return arg_error(name, "unwritable receive buffer");
   }
   release(*msg);
-  coll_ = {};
-  ++reduce_epoch_;
-  return done();
+  return finish_collective(state_.reduce_epoch);
 }
 
 // ---------------------------------------------------------------------------
@@ -978,22 +852,18 @@ SysResult Process::do_barrier_tree(Machine& m) {
   const std::uint32_t v = static_cast<std::uint32_t>(rank_);
   if (!pump_channel()) return SysResult::kExit;
 
-  if (coll_.phase == 0) {
+  CollState& coll = state_.coll;
+  const std::uint32_t epoch = state_.barrier_epoch;
+  if (coll.phase == 0) {
     // Gather: collect tokens from children (v+mask while bit clear), then
     // send our token to the parent at our lowest set bit.
-    std::uint32_t mask = coll_.mask ? coll_.mask : 1;
+    std::uint32_t mask = coll.mask ? coll.mask : 1;
     while (mask < n) {
       if (v & mask) {
-        MsgHeader h;
-        h.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-        h.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kBarrier);
-        h.src = rank_;
-        h.dst = static_cast<std::int32_t>(v - mask);
-        h.tag = kTagBarrier;
-        h.ctrl_arg = barrier_epoch_;
-        push_packet_to(static_cast<int>(v - mask), h, {});
-        coll_.mask = mask;  // the parent edge, reused for the release
-        coll_.phase = 1;
+        send_control(CtrlOp::kBarrier, static_cast<int>(v - mask),
+                     kTagBarrier, epoch);
+        coll.mask = mask;  // the parent edge, reused for the release
+        coll.phase = 1;
         break;
       }
       if (v + mask < n) {
@@ -1001,45 +871,37 @@ SysResult Process::do_barrier_tree(Machine& m) {
           return h.msg_kind() == MsgKind::kControl &&
                  h.control_op() == CtrlOp::kBarrier &&
                  h.src == static_cast<std::int32_t>(v + mask) &&
-                 h.ctrl_arg == barrier_epoch_;
+                 h.ctrl_arg == epoch;
         });
         if (!tok) {
-          coll_.mask = mask;
+          coll.mask = mask;
           return SysResult::kBlock;
         }
       }
       mask <<= 1;
     }
-    if (coll_.phase == 0) coll_.phase = 2;  // v == 0: everyone arrived
+    if (coll.phase == 0) coll.phase = 2;  // v == 0: everyone arrived
   }
 
-  if (coll_.phase == 1) {
+  if (coll.phase == 1) {
     auto rel = match([&](const MsgHeader& h) {
       return h.msg_kind() == MsgKind::kControl &&
              h.control_op() == CtrlOp::kBarrierRel &&
-             h.src == static_cast<std::int32_t>(v - coll_.mask) &&
-             h.ctrl_arg == barrier_epoch_;
+             h.src == static_cast<std::int32_t>(v - coll.mask) &&
+             h.ctrl_arg == epoch;
     });
     if (!rel) return SysResult::kBlock;
-    coll_.phase = 2;
+    coll.phase = 2;
   }
 
   // Release our children along the gather edges.
   const std::uint32_t lsb = v == 0 ? 2 * n : (v & (~v + 1));
   for (std::uint32_t mask = 1; mask < n && mask < lsb; mask <<= 1) {
     if (v + mask >= n) continue;
-    MsgHeader h;
-    h.kind = static_cast<std::uint32_t>(MsgKind::kControl);
-    h.ctrl_op = static_cast<std::uint32_t>(CtrlOp::kBarrierRel);
-    h.src = rank_;
-    h.dst = static_cast<std::int32_t>(v + mask);
-    h.tag = kTagBarrier;
-    h.ctrl_arg = barrier_epoch_;
-    push_packet_to(static_cast<int>(v + mask), h, {});
+    send_control(CtrlOp::kBarrierRel, static_cast<int>(v + mask), kTagBarrier,
+                 epoch);
   }
-  coll_ = {};
-  ++barrier_epoch_;
-  return done();
+  return finish_collective(state_.barrier_epoch);
 }
 
 SysResult Process::do_bcast_tree(Machine& m, Addr buf, std::uint32_t len,
@@ -1053,56 +915,43 @@ SysResult Process::do_bcast_tree(Machine& m, Addr buf, std::uint32_t len,
   };
   if (!pump_channel()) return SysResult::kExit;
 
-  if (coll_.phase == 0) {
+  CollState& coll = state_.coll;
+  const std::uint32_t epoch = state_.bcast_epoch;
+  if (coll.phase == 0) {
     if (v == 0) {
-      coll_.mask = 1;
-      coll_.phase = 1;
+      coll.mask = 1;
+      coll.phase = 1;
     } else {
       std::uint32_t hb = 1;
       while ((hb << 1) <= v) hb <<= 1;
       auto msg = match([&](const MsgHeader& h) {
         return h.msg_kind() == MsgKind::kData && h.tag == kTagBcast &&
-               h.ctrl_arg == bcast_epoch_ && h.src == real(v - hb);
+               h.ctrl_arg == epoch && h.src == real(v - hb);
       });
       if (!msg) return SysResult::kBlock;
       if (msg->header.payload_len != len) {
         release(*msg);
         return mpich_fatal("MPI_Bcast size mismatch");
       }
-      if (len > 0) {
-        std::vector<std::byte> bytes(len);
-        FSIM_CHECK(machine_->memory().peek_span(msg->buffer, bytes));
-        if (!machine_->memory().poke_span(buf, bytes)) {
-          release(*msg);
-          return arg_error("MPI_Bcast", "unwritable buffer");
-        }
+      if (!deliver(*msg, buf)) {
+        release(*msg);
+        return arg_error("MPI_Bcast", "unwritable buffer");
       }
       release(*msg);
-      coll_.mask = hb << 1;
-      coll_.phase = 1;
+      coll.mask = hb << 1;
+      coll.phase = 1;
     }
   }
 
   std::vector<std::byte> payload(len);
   if (len > 0 && !machine_->memory().peek_span(buf, payload))
     return arg_error("MPI_Bcast", "unreadable buffer");
-  for (std::uint32_t mask = coll_.mask; mask < n; mask <<= 1) {
-    if (v < mask && v + mask < n) {
-      MsgHeader h;
-      h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-      h.src = rank_;
-      h.dst = real(v + mask);
-      h.tag = kTagBcast;
-      h.seq = send_seq_++;
-      h.payload_len = len;
-      h.ctrl_arg = bcast_epoch_;
-      push_packet_to(real(v + mask), h, payload);
-    }
+  for (std::uint32_t mask = coll.mask; mask < n; mask <<= 1) {
+    if (v < mask && v + mask < n)
+      send_data(real(v + mask), kTagBcast, state_.send_seq++, payload, epoch);
   }
   (void)m;
-  coll_ = {};
-  ++bcast_epoch_;
-  return done();
+  return finish_collective(state_.bcast_epoch);
 }
 
 SysResult Process::do_reduce_tree(Machine& m, bool all, Addr sendbuf,
@@ -1119,124 +968,92 @@ SysResult Process::do_reduce_tree(Machine& m, bool all, Addr sendbuf,
   const std::uint32_t bytes = count * 8;
   if (!pump_channel()) return SysResult::kExit;
 
+  CollState& coll = state_.coll;
+  const std::uint32_t epoch = state_.reduce_epoch;
   auto send_accum = [&](int dest, std::uint32_t ctrl_arg) {
-    std::vector<std::byte> payload(bytes);
-    if (bytes > 0)
-      std::memcpy(payload.data(), coll_.accum.data(), bytes);
-    MsgHeader h;
-    h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-    h.src = rank_;
-    h.dst = dest;
-    h.tag = kTagReduce;
-    h.seq = send_seq_++;
-    h.payload_len = bytes;
-    h.ctrl_arg = ctrl_arg;
-    push_packet_to(dest, h, payload);
+    send_data(dest, kTagReduce, state_.send_seq++, bytes_of(coll.accum),
+              ctrl_arg);
   };
 
-  if (coll_.phase == 0) {
-    coll_.accum.resize(count);
-    std::vector<std::byte> raw(bytes);
-    if (bytes > 0 && !machine_->memory().peek_span(sendbuf, raw))
+  if (coll.phase == 0) {
+    if (!read_doubles(sendbuf, count, coll.accum))
       return arg_error(name, "unreadable send buffer");
-    if (bytes > 0) std::memcpy(coll_.accum.data(), raw.data(), bytes);
-    coll_.mask = 1;
-    coll_.phase = 1;
+    coll.mask = 1;
+    coll.phase = 1;
   }
 
-  if (coll_.phase == 1) {
-    std::uint32_t mask = coll_.mask;
+  if (coll.phase == 1) {
+    std::uint32_t mask = coll.mask;
     while (mask < n) {
       if (v & mask) {
-        send_accum(real(v - mask), reduce_epoch_);
-        coll_.mask = mask;
-        coll_.phase = all ? 3 : 2;
+        send_accum(real(v - mask), epoch);
+        coll.mask = mask;
+        coll.phase = all ? 3 : 2;
         break;
       }
       if (v + mask < n) {
         auto msg = match([&](const MsgHeader& h) {
           return h.msg_kind() == MsgKind::kData && h.tag == kTagReduce &&
-                 h.ctrl_arg == reduce_epoch_ &&
-                 h.src == real(v + mask);
+                 h.ctrl_arg == epoch && h.src == real(v + mask);
         });
         if (!msg) {
-          coll_.mask = mask;
+          coll.mask = mask;
           return SysResult::kBlock;
         }
         if (msg->header.payload_len != bytes) {
           release(*msg);
           return mpich_fatal(std::string(name) + " size mismatch");
         }
-        if (bytes > 0) {
-          std::vector<std::byte> raw(bytes);
-          FSIM_CHECK(machine_->memory().peek_span(msg->buffer, raw));
-          std::vector<double> vals(count);
-          std::memcpy(vals.data(), raw.data(), bytes);
-          for (std::uint32_t i = 0; i < count; ++i)
-            coll_.accum[i] += vals[i];
-        }
+        accumulate(*msg);
         release(*msg);
       }
       mask <<= 1;
     }
-    if (coll_.phase == 1) {
+    if (coll.phase == 1) {
       // v == 0 holds the full reduction.
-      std::vector<std::byte> raw(bytes);
-      if (bytes > 0) std::memcpy(raw.data(), coll_.accum.data(), bytes);
-      if (bytes > 0 && !machine_->memory().poke_span(recvbuf, raw))
+      if (!write_doubles(recvbuf, coll.accum))
         return arg_error(name, "unwritable receive buffer");
-      if (!all) {
-        coll_ = {};
-        ++reduce_epoch_;
-        return done();
-      }
-      coll_.mask2 = 1;
-      coll_.phase = 4;
+      if (!all) return finish_collective(state_.reduce_epoch);
+      coll.mask2 = 1;
+      coll.phase = 4;
     }
   }
 
-  if (coll_.phase == 2) {  // plain reduce, contribution sent: done
-    coll_ = {};
-    ++reduce_epoch_;
-    return done();
-  }
+  if (coll.phase == 2)  // plain reduce, contribution sent: done
+    return finish_collective(state_.reduce_epoch);
 
-  if (coll_.phase == 3) {  // allreduce non-root: await the result broadcast
+  if (coll.phase == 3) {  // allreduce non-root: await the result broadcast
     std::uint32_t hb = 1;
     while ((hb << 1) <= v) hb <<= 1;
     auto msg = match([&](const MsgHeader& h) {
       return h.msg_kind() == MsgKind::kData && h.tag == kTagReduce &&
-             h.ctrl_arg == (reduce_epoch_ | 0x80000000u) &&
-             h.src == real(v - hb);
+             h.ctrl_arg == (epoch | kResultFlag) && h.src == real(v - hb);
     });
     if (!msg) return SysResult::kBlock;
     if (msg->header.payload_len != bytes) {
       release(*msg);
       return mpich_fatal(std::string(name) + " size mismatch");
     }
-    if (bytes > 0) {
-      std::vector<std::byte> raw(bytes);
-      FSIM_CHECK(machine_->memory().peek_span(msg->buffer, raw));
-      if (!machine_->memory().poke_span(recvbuf, raw)) {
-        release(*msg);
-        return arg_error(name, "unwritable receive buffer");
-      }
-      std::memcpy(coll_.accum.data(), raw.data(), bytes);
+    // The result is read from the buffered message once, before the user
+    // buffer is written.
+    if (bytes > 0)
+      std::memcpy(coll.accum.data(), payload_of(*msg).data(), bytes);
+    if (!write_doubles(recvbuf, coll.accum)) {
+      release(*msg);
+      return arg_error(name, "unwritable receive buffer");
     }
     release(*msg);
-    coll_.mask2 = hb << 1;
-    coll_.phase = 4;
+    coll.mask2 = hb << 1;
+    coll.phase = 4;
   }
 
   // Phase 4: forward the result down the tree, then finish.
-  for (std::uint32_t mask = coll_.mask2; mask < n; mask <<= 1) {
+  for (std::uint32_t mask = coll.mask2; mask < n; mask <<= 1) {
     if (v < mask && v + mask < n)
-      send_accum(real(v + mask), reduce_epoch_ | 0x80000000u);
+      send_accum(real(v + mask), epoch | kResultFlag);
   }
   (void)m;
-  coll_ = {};
-  ++reduce_epoch_;
-  return done();
+  return finish_collective(state_.reduce_epoch);
 }
 
 // ---------------------------------------------------------------------------
@@ -1250,7 +1067,7 @@ SysResult Process::do_gather(Machine& m) {
   const int root = static_cast<std::int32_t>(m.arg(3));
   const int n = world_->size();
 
-  if (!initialized_ || finalized_)
+  if (!state_.initialized || state_.finalized)
     return mpich_fatal("MPI_Gather outside init/finalize window");
   if (root < 0 || root >= n)
     return arg_error("MPI_Gather", "invalid root " + std::to_string(root));
@@ -1260,25 +1077,19 @@ SysResult Process::do_gather(Machine& m) {
   m.charge(30 + bytes / 32);
   if (!pump_channel()) return SysResult::kExit;
 
+  const std::uint32_t epoch = state_.gather_epoch;
   if (rank_ != root) {
     std::vector<std::byte> payload(bytes);
     if (bytes > 0 && !machine_->memory().peek_span(sendbuf, payload))
       return arg_error("MPI_Gather", "unreadable send buffer");
-    MsgHeader h;
-    h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-    h.src = rank_;
-    h.dst = root;
-    h.tag = kTagGather;
-    h.seq = send_seq_++;
-    h.payload_len = bytes;
-    h.ctrl_arg = gather_epoch_;
-    push_packet_to(root, h, payload);
-    ++gather_epoch_;
+    send_data(root, kTagGather, state_.send_seq++, payload, epoch);
+    ++state_.gather_epoch;
     return done();
   }
 
   // Root: place its own block, then consume contributions by source rank.
-  if (coll_.phase == 0) {
+  CollState& coll = state_.coll;
+  if (coll.phase == 0) {
     std::vector<std::byte> own(bytes);
     if (bytes > 0 && !machine_->memory().peek_span(sendbuf, own))
       return arg_error("MPI_Gather", "unreadable send buffer");
@@ -1286,12 +1097,12 @@ SysResult Process::do_gather(Machine& m) {
         !machine_->memory().poke_span(
             recvbuf + static_cast<Addr>(rank_) * bytes, own))
       return arg_error("MPI_Gather", "unwritable receive buffer");
-    coll_.phase = 1;
+    coll.phase = 1;
   }
-  while (coll_.counter < n - 1) {
+  while (coll.counter < n - 1) {
     auto msg = match([&](const MsgHeader& h) {
       return h.msg_kind() == MsgKind::kData && h.tag == kTagGather &&
-             h.ctrl_arg == gather_epoch_;
+             h.ctrl_arg == epoch;
     });
     if (!msg) return SysResult::kBlock;
     if (msg->header.payload_len != bytes ||
@@ -1299,21 +1110,14 @@ SysResult Process::do_gather(Machine& m) {
       release(*msg);
       return mpich_fatal("MPI_Gather size/source mismatch");
     }
-    if (bytes > 0) {
-      std::vector<std::byte> raw(bytes);
-      FSIM_CHECK(machine_->memory().peek_span(msg->buffer, raw));
-      if (!machine_->memory().poke_span(
-              recvbuf + static_cast<Addr>(msg->header.src) * bytes, raw)) {
-        release(*msg);
-        return arg_error("MPI_Gather", "unwritable receive buffer");
-      }
+    if (!deliver(*msg, recvbuf + static_cast<Addr>(msg->header.src) * bytes)) {
+      release(*msg);
+      return arg_error("MPI_Gather", "unwritable receive buffer");
     }
     release(*msg);
-    ++coll_.counter;
+    ++coll.counter;
   }
-  coll_ = {};
-  ++gather_epoch_;
-  return done();
+  return finish_collective(state_.gather_epoch);
 }
 
 SysResult Process::do_scatter(Machine& m) {
@@ -1323,7 +1127,7 @@ SysResult Process::do_scatter(Machine& m) {
   const int root = static_cast<std::int32_t>(m.arg(3));
   const int n = world_->size();
 
-  if (!initialized_ || finalized_)
+  if (!state_.initialized || state_.finalized)
     return mpich_fatal("MPI_Scatter outside init/finalize window");
   if (root < 0 || root >= n)
     return arg_error("MPI_Scatter", "invalid root " + std::to_string(root));
@@ -1333,6 +1137,7 @@ SysResult Process::do_scatter(Machine& m) {
   m.charge(30 + bytes / 32);
   if (!pump_channel()) return SysResult::kExit;
 
+  const std::uint32_t epoch = state_.scatter_epoch;
   if (rank_ == root) {
     for (int r = 0; r < n; ++r) {
       std::vector<std::byte> block(bytes);
@@ -1345,39 +1150,27 @@ SysResult Process::do_scatter(Machine& m) {
           return arg_error("MPI_Scatter", "unwritable receive buffer");
         continue;
       }
-      MsgHeader h;
-      h.kind = static_cast<std::uint32_t>(MsgKind::kData);
-      h.src = rank_;
-      h.dst = r;
-      h.tag = kTagScatter;
-      h.seq = send_seq_++;
-      h.payload_len = bytes;
-      h.ctrl_arg = scatter_epoch_;
-      push_packet_to(r, h, block);
+      send_data(r, kTagScatter, state_.send_seq++, block, epoch);
     }
-    ++scatter_epoch_;
+    ++state_.scatter_epoch;
     return done();
   }
 
   auto msg = match([&](const MsgHeader& h) {
     return h.msg_kind() == MsgKind::kData && h.tag == kTagScatter &&
-           h.src == root && h.ctrl_arg == scatter_epoch_;
+           h.src == root && h.ctrl_arg == epoch;
   });
   if (!msg) return SysResult::kBlock;
   if (msg->header.payload_len != bytes) {
     release(*msg);
     return mpich_fatal("MPI_Scatter size mismatch");
   }
-  if (bytes > 0) {
-    std::vector<std::byte> raw(bytes);
-    FSIM_CHECK(machine_->memory().peek_span(msg->buffer, raw));
-    if (!machine_->memory().poke_span(recvbuf, raw)) {
-      release(*msg);
-      return arg_error("MPI_Scatter", "unwritable receive buffer");
-    }
+  if (!deliver(*msg, recvbuf)) {
+    release(*msg);
+    return arg_error("MPI_Scatter", "unwritable receive buffer");
   }
   release(*msg);
-  ++scatter_epoch_;
+  ++state_.scatter_epoch;
   return done();
 }
 

@@ -79,6 +79,10 @@ std::uint64_t Snapshot::size_bytes() const noexcept {
     total += rs.io.console.size() + rs.io.output.size();
     for (const auto& pkt : rs.channel.queue) total += pkt.size();
     total += rs.mpi.inbox.size() * sizeof(MsgHeader);
+    for (const auto& req : rs.mpi.requests)
+      total += sizeof(req) + req.payload.size();  // rendezvous sends in flight
+    total += rs.mpi.coll.accum.size() * sizeof(double);
+    total += rs.mpi.cts_sent.size() * sizeof(*rs.mpi.cts_sent.begin());
     total += rs.heap.live.size() * sizeof(svm::Heap::Chunk);
   }
   return total;

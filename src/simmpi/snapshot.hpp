@@ -52,8 +52,10 @@ class Snapshot {
   std::uint64_t instructions() const noexcept;
 
   /// Size in bytes: the blocks holding the written extents (shared ones
-  /// included) plus the library and I/O state (for checkpoint-cost
-  /// accounting).
+  /// included) plus the library and I/O state, including the library's own
+  /// heap storage (queued packets, request slots and the payloads of
+  /// rendezvous sends in flight, the reduce accumulator, issued CTSs), for
+  /// checkpoint-cost accounting.
   std::uint64_t size_bytes() const noexcept;
 
  private:

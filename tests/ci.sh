@@ -19,8 +19,8 @@
 # CLI and drives the heap/stack scans (analyze + lint) on every app,
 # builds svm_tests to run the op-table specs, the engine diff and the
 # FP-stack depth tests (crafted programs and machine-trace claims), and
-# builds simmpi_tests and core_tests to run the sparse snapshot and
-# golden fast-forward tests.
+# builds simmpi_tests and core_tests to run the sparse snapshot, MPI
+# behaviour oracle and golden fast-forward tests.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -154,9 +154,10 @@ else
     --gtest_filter='Ops*:Isa*:*DisasmRoundTrip*:*EngineDiff*:FpDepth*' \
     > /dev/null
   echo "  op table specs, engine diff and FP depth clean under AddressSanitizer"
-  "$scan_dir/tests/simmpi_tests" --gtest_filter='Snapshot*' > /dev/null
+  "$scan_dir/tests/simmpi_tests" --gtest_filter='Snapshot*:MpiBehaviour*' \
+    > /dev/null
   "$scan_dir/tests/core_tests" --gtest_filter='*FastForward*' > /dev/null
-  echo "  sparse snapshots and fast-forward clean under AddressSanitizer"
+  echo "  snapshots, MPI behaviour oracle and fast-forward clean under ASan"
 fi
 
 echo "=== ci: all gates passed ==="

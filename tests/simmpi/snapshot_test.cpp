@@ -130,6 +130,14 @@ sender:
   EXPECT_EQ(job.world.machine(0).exit_code(), 1234);
 }
 
+std::uint64_t written_bytes(World& w) {
+  std::uint64_t written = 0;
+  for (int r = 0; r < w.size(); ++r)
+    for (unsigned s = 0; s < svm::kNumSegments; ++s)
+      written += w.machine(r).memory().written(static_cast<svm::Segment>(s)).size();
+  return written;
+}
+
 TEST(Snapshot, SizeAccountsForMemory) {
   apps::App app = small_app();
   svm::Program program = app.link();
@@ -137,15 +145,65 @@ TEST(Snapshot, SizeAccountsForMemory) {
   for (int i = 0; i < 20; ++i) w.advance();
   const Snapshot snap = Snapshot::capture(w);
   // The snapshot holds every byte any rank wrote (its written extents)...
-  std::uint64_t written = 0;
-  for (int r = 0; r < w.size(); ++r)
-    for (unsigned s = 0; s < svm::kNumSegments; ++s)
-      written += w.machine(r).memory().written(static_cast<svm::Segment>(s)).size();
+  const std::uint64_t written = written_bytes(w);
   EXPECT_GT(written, 0u);
   EXPECT_GE(snap.size_bytes(), written);
   // ... and not the untouched arenas: the four 1 MiB heaps alone are 4 MiB.
   EXPECT_LT(snap.size_bytes(), 1ull << 20);
   EXPECT_GT(snap.instructions(), 0u);
+}
+
+TEST(Snapshot, SizeCountsRendezvousPayloadInFlight) {
+  // Rank 0 MPI_Isend-s 64 KiB of untouched BSS, above the eager threshold,
+  // and waits; rank 1 spins before receiving, so the RTS sits unanswered
+  // and the payload lives only in rank 0's library state.
+  constexpr std::uint64_t kPayload = 64 * 1024;
+  WorldOptions o;
+  o.nranks = 2;
+  Job job(R"(
+.text
+main:
+    enter 0
+    call MPI_Init
+    call MPI_Comm_rank
+    mov r9, r1
+    ldi r5, 0
+    bne r9, r5, receiver
+    la r1, big
+    li r2, 65536
+    ldi r3, 1
+    ldi r4, 7
+    call MPI_Isend
+    call MPI_Wait
+    call MPI_Finalize
+    ldi r1, 0
+    leave
+    ret
+receiver:
+    ldi r5, 0
+    li r6, 100000
+delay:
+    addi r5, r5, 1
+    blt r5, r6, delay
+    la r1, big
+    li r2, 65536
+    ldi r3, 0
+    ldi r4, 7
+    call MPI_Recv
+    call MPI_Finalize
+    ldi r1, 0
+    leave
+    ret
+.bss
+big: .space 65536
+)",
+          o);
+  for (int i = 0; i < 40; ++i) job.world.advance();
+  ASSERT_EQ(job.world.status(), JobStatus::kRunning);
+  ASSERT_EQ(job.world.process(1).channel().pending_bytes(), kHeaderBytes);
+  const Snapshot snap = Snapshot::capture(job.world);
+  EXPECT_GE(snap.size_bytes(), written_bytes(job.world) + kPayload);
+  EXPECT_EQ(job.run(), JobStatus::kCompleted);
 }
 
 TEST(Snapshot, RestoreIntoDirtiedWorldMatchesFresh) {
